@@ -28,11 +28,16 @@ from repro.sim.ingest import (
     RunResult,
     SegmentQueue,
     build_placement_tables,
-    finalize,
+    per_multiplier,
     prepare,
+    simulate,
 )
 from repro.video.content import ContentTrace
 from repro.workloads.base import Config, Workload
+
+PROFILE_EVERY_S = 600.0  # profiling period
+PROFILE_SEGMENTS = 1  # recent segments each profiling pass re-runs
+QUALITY_SLACK = 0.92  # accepted fraction of the best profiled quality
 
 
 def run_chameleon(
@@ -43,10 +48,6 @@ def run_chameleon(
     *,
     seed: int = 0,
     configs: list[Config] | None = None,
-    profile_every_s: float = 600.0,
-    profile_segments: int = 1,
-    quality_slack: float = 0.92,
-    method: str = "chameleon",
 ) -> RunResult:
     """Simulate Chameleon* ingestion."""
     if configs is None:
@@ -58,59 +59,51 @@ def run_chameleon(
     runtimes = np.stack(
         [t.runtime[0] for t in tables]
     )  # (K, G) on-prem-only runtime per multiplier grid value
-    n = trace.n_segments
-    queue = SegmentQueue(wl.seg_len, prep.seg_bytes, cluster.buffer_bytes)
-    epoch_segments = max(1, int(round(profile_every_s / wl.seg_len)))
+    runtime = per_multiplier([t.runtime for t in tables])
+    epoch_segments = max(1, int(round(PROFILE_EVERY_S / wl.seg_len)))
     cheapest = int(np.argmin(prep.work))
     # per multiplier-grid value: best configuration that still runs in
     # real time — the fallback when the unmanaged buffer fills up
     mean_q = prep.qual_true.mean(axis=1)
-    realtime_best = np.empty(runtimes.shape[1], dtype=int)
+    realtime_best = []
     for g in range(runtimes.shape[1]):
         ok = np.flatnonzero(runtimes[:, g] <= wl.seg_len)
-        realtime_best[g] = (
+        realtime_best.append(
             int(ok[np.argmax(mean_q[ok])]) if len(ok) else cheapest
         )
-    chosen = np.empty(n, dtype=int)
     k_epoch = cheapest
-    profiling_core_s = 0.0
+    extras = {"profiling_core_s": 0.0}
 
-    for i in range(n):
-        gi = prep.mult_idx[i]
+    def decide(i: int, g: int, queue: SegmentQueue) -> tuple[int, int]:
+        nonlocal k_epoch
         if i % epoch_segments == 0:
             # Profiling pass: run every candidate on the last
-            # ``profile_segments`` segments; the work goes through the
+            # ``PROFILE_SEGMENTS`` segments; the work goes through the
             # same queue as regular processing (it competes for cores).
-            lo = max(0, i - profile_segments)
+            lo = max(0, i - PROFILE_SEGMENTS)
             profile_runtime = float(
                 runtimes[:, prep.mult_idx[lo : i + 1]].sum()
             )
             if profile_runtime > 0:
                 queue.ready += profile_runtime
-                profiling_core_s += profile_runtime * cluster.n_cores
+                extras["profiling_core_s"] += (
+                    profile_runtime * cluster.n_cores
+                )
             # Pick the cheapest configuration whose profiled quality is
-            # within ``quality_slack`` of the best profiled quality.
+            # within ``QUALITY_SLACK`` of the best profiled quality.
             prof_q = prep.qual_obs[:, lo : i + 1].mean(axis=1)
             best_q = prof_q.max()
-            ok = np.flatnonzero(prof_q >= quality_slack * best_q)
+            ok = np.flatnonzero(prof_q >= QUALITY_SLACK * best_q)
             k_epoch = int(ok[np.argmin(prep.work[ok])])
+        rt = runtime[g]
         k = k_epoch
-        if queue.would_overflow(i, float(runtimes[k, gi])):
+        if queue.would_overflow(i, rt[k][0]):
             # unmanaged fallback: drop to the best real-time config
-            k = int(realtime_best[gi])
-            if queue.would_overflow(i, float(runtimes[k, gi])):
+            k = realtime_best[g]
+            if queue.would_overflow(i, rt[k][0]):
                 k = cheapest
-        queue.step(i, float(runtimes[k, gi]))
-        chosen[i] = k
+        return k, 0
 
-    res = finalize(
-        prep,
-        cluster,
-        method=method,
-        chosen_k=chosen,
-        queue=queue,
-        cloud_usd=0.0,
-        cloud_core_s=0.0,
-        extras={"profiling_core_s": profiling_core_s},
+    return simulate(
+        prep, cluster, tables, decide, method="chameleon", extras=extras
     )
-    return res

@@ -27,10 +27,10 @@ from repro.workloads.base import Config, Workload
 
 
 def optimum_choices(prep: Prepared, budget_core_s: float) -> np.ndarray:
-    """Per-segment configuration indices maximizing total (weighted)
-    quality subject to total work <= budget_core_s."""
+    """Per-segment configuration indices maximizing total quality
+    subject to total work <= budget_core_s."""
     seg_len = prep.wl.seg_len
-    values = prep.weights[None, :] * prep.qual_true  # (K, n)
+    values = prep.qual_true  # (K, n)
     costs = (
         prep.work[:, None] * seg_len * prep.trace.work_multiplier[None, :]
     )  # (K, n)
@@ -63,7 +63,6 @@ def run_optimum(
     *,
     budget_core_s: float | None = None,
     seed: int = 0,
-    method: str = "optimum",
 ) -> RunResult:
     """Ground-truth-optimal knob choices under the cluster's compute
     budget (on-premise core-seconds over the stream duration)."""
@@ -75,7 +74,7 @@ def run_optimum(
     return finalize(
         prep,
         cluster,
-        method=method,
+        method="optimum",
         chosen_k=chosen,
         queue=queue,
         cloud_usd=0.0,

@@ -11,24 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sim.cluster import Cluster
-from repro.sim.ingest import (
-    Prepared,
-    RunResult,
-    SegmentQueue,
-    build_placement_tables,
-    finalize,
-    prepare,
-)
+from repro.sim.ingest import RunResult, build_placement_tables, prepare, simulate
 from repro.video.content import ContentTrace
 from repro.workloads.base import Config, Workload
 
+# fraction of the cores and of the segment length a static configuration
+# may use at the training trace's peak multiplier
+HEADROOM = 1.0
+
 
 def best_static_config(
-    wl: Workload,
-    cluster: Cluster,
-    train_trace: ContentTrace,
-    *,
-    headroom: float = 1.0,
+    wl: Workload, cluster: Cluster, train_trace: ContentTrace
 ) -> Config:
     """Most qualitative configuration sustainable in real time.
 
@@ -44,13 +37,13 @@ def best_static_config(
     peak_mult = float(np.quantile(train_trace.work_multiplier, 0.999))
     feasible = []
     for c in wl.all_configs():
-        if wl.work_per_vs(c) * peak_mult > cluster.n_cores * headroom:
+        if wl.work_per_vs(c) * peak_mult > cluster.n_cores * HEADROOM:
             continue  # cheap necessary-condition prefilter
         g = wl.task_graph(c)
         runtime = simulate_placement(
             g, (False,) * len(g.nodes), cluster, mult=peak_mult
         ).runtime_s
-        if runtime <= wl.seg_len * headroom:
+        if runtime <= wl.seg_len * HEADROOM:
             feasible.append(c)
     if not feasible:
         return wl.cheapest_config()
@@ -68,30 +61,19 @@ def run_static(
     *,
     seed: int = 0,
     config: Config | None = None,
-    method: str = "static",
 ) -> RunResult:
-    """Simulate static ingestion with one configuration."""
+    """Simulate static ingestion with one configuration, on premises."""
     if config is None:
         config = best_static_config(wl, cluster, train_trace)
     prep = prepare(wl, [config], trace, seed=seed)
     tables = build_placement_tables(
         wl, [config], cluster, prep.mult_grid, enable_cloud=False
     )
-    runtimes = tables[0].runtime[0][prep.mult_idx]  # on-prem only
-    queue = SegmentQueue(
-        wl.seg_len, prep.seg_bytes, cluster.buffer_bytes
-    )
-    for i in range(trace.n_segments):
-        queue.step(i, float(runtimes[i]))
-    chosen = np.zeros(trace.n_segments, dtype=int)
-    res = finalize(
+    return simulate(
         prep,
         cluster,
-        method=method,
-        chosen_k=chosen,
-        queue=queue,
-        cloud_usd=0.0,
-        cloud_core_s=0.0,
+        tables,
+        lambda i, g, queue: (0, 0),
+        method="static",
         extras={"config": wl.config_dict(config)},
     )
-    return res

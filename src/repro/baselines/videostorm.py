@@ -18,8 +18,9 @@ from repro.sim.ingest import (
     RunResult,
     SegmentQueue,
     build_placement_tables,
-    finalize,
+    per_multiplier,
     prepare,
+    simulate,
 )
 from repro.video.content import ContentTrace
 from repro.workloads.base import Config, Workload
@@ -33,7 +34,6 @@ def run_videostorm(
     *,
     seed: int = 0,
     configs: list[Config] | None = None,
-    method: str = "videostorm",
 ) -> RunResult:
     """Content-agnostic greedy quality maximization under the buffer."""
     if configs is None:
@@ -42,30 +42,18 @@ def run_videostorm(
     tables = build_placement_tables(
         wl, configs, cluster, prep.mult_grid, enable_cloud=False
     )
-    runtimes = np.stack([t.runtime[0] for t in tables])  # (K, G)
+    runtime = per_multiplier([t.runtime for t in tables])
     # content-agnostic quality ranking: mean quality on training data
     train_q = np.array(
         [float(wl.quality_curve(c, train_trace).mean()) for c in configs]
     )
-    rank = list(np.argsort(-train_q))  # best quality first
-    n = trace.n_segments
-    queue = SegmentQueue(wl.seg_len, prep.seg_bytes, cluster.buffer_bytes)
-    chosen = np.empty(n, dtype=int)
-    for i in range(n):
-        gi = prep.mult_idx[i]
-        k = rank[-1]
-        for cand in rank:
-            if not queue.would_overflow(i, float(runtimes[cand, gi])):
-                k = cand
-                break
-        queue.step(i, float(runtimes[k, gi]))
-        chosen[i] = k
-    return finalize(
-        prep,
-        cluster,
-        method=method,
-        chosen_k=chosen,
-        queue=queue,
-        cloud_usd=0.0,
-        cloud_core_s=0.0,
-    )
+    rank = np.argsort(-train_q).tolist()  # best quality first
+
+    def decide(i: int, g: int, queue: SegmentQueue) -> tuple[int, int]:
+        rt = runtime[g]
+        for k in rank:
+            if not queue.would_overflow(i, rt[k][0]):
+                return k, 0
+        return rank[-1], 0
+
+    return simulate(prep, cluster, tables, decide, method="videostorm")

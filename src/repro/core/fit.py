@@ -7,8 +7,9 @@ online phase consumes:
 1. filter knob configurations (hill climbing on max-min sampled
    segments, Appendix A.1);
 2. profile and Pareto-filter task placements on a reference cluster
-   (Appendix A.2; placements are re-profiled per actual cluster at run
-   time, as the runtime depends on the core count);
+   over the training trace's multipliers (Appendix A.2; the same filter
+   runs again per actual cluster at run time, as the runtime depends on
+   the core count);
 3. compute content categories: KMeans over quality vectors of a segment
    sample (Section 3.2) — the profiling runs as a Spark dataflow when a
    SparkSession is provided;
@@ -43,7 +44,7 @@ from repro.core.forecast import (
 )
 from repro.core.mlp import MLP
 from repro.core.offline import filter_knob_configs
-from repro.core.placement import pareto_placements
+from repro.core.placement import frontier_placements, multiplier_grid
 from repro.sim.cluster import make_cluster
 from repro.video.content import ContentTrace
 from repro.workloads.base import Config, Workload
@@ -112,8 +113,9 @@ def fit_skyscraper(
     #    online since runtimes depend on the core count) ---------------------
     t0 = time.perf_counter()
     ref_cluster = make_cluster(8)
+    mult_grid, _ = multiplier_grid(trace)
     for cfg in configs:
-        pareto_placements(wl.task_graph(cfg), ref_cluster)
+        frontier_placements(wl.task_graph(cfg), ref_cluster, mult_grid)
     timings["filter_task_placements"] = time.perf_counter() - t0
 
     # 3. content categories ---------------------------------------------------

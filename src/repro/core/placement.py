@@ -14,8 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.core.offline import pareto_front
 from repro.sim.cluster import Cluster
 from repro.sim.dagsim import simulate_placement
+from repro.video.content import ContentTrace
 from repro.workloads.base import TaskGraph
 
 
@@ -25,9 +29,7 @@ class PlacementProfile:
 
     cloud: tuple[bool, ...]  # per-node cloud flag
     runtime_s: float  # per segment, at work multiplier 1
-    cloud_core_s: float  # per segment, at work multiplier 1
     cloud_usd: float  # per segment, at work multiplier 1
-    up_bytes: float
 
     @property
     def is_onprem_only(self) -> bool:
@@ -42,34 +44,39 @@ def enumerate_placements(graph: TaskGraph) -> list[tuple[bool, ...]]:
     return sorted(itertools.product(*choices), key=lambda p: sum(p))
 
 
-def pareto_placements(
-    graph: TaskGraph, cluster: Cluster
-) -> list[PlacementProfile]:
-    """Profile all placements and keep the cost-runtime Pareto frontier.
+def multiplier_grid(trace: ContentTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Unique rounded multipliers and each segment's grid index."""
+    rounded = np.round(trace.work_multiplier).astype(int)
+    rounded = np.clip(rounded, 1, None)
+    grid, inverse = np.unique(rounded, return_inverse=True)
+    return grid.astype(float), inverse
 
-    Returned sorted by increasing cloud cost (so the knob switcher's
-    "cheapest placement that does not overflow the buffer" scan is a
-    linear walk); within the frontier, higher cloud cost implies lower
-    runtime.  The all-on-premises placement is always kept — it is the
-    zero-cloud-cost extreme of the frontier.
+
+def frontier_placements(
+    graph: TaskGraph, cluster: Cluster, mult_grid: np.ndarray
+) -> list[tuple[bool, ...]]:
+    """Placements on the (cloud core-seconds, runtime) Pareto frontier.
+
+    The frontier is the union of those at the smallest, median and
+    largest multiplier of ``mult_grid`` — cloud latency does not scale
+    with the multiplier, so a placement dominated for one stream may
+    dominate for sixty.  Returned in enumeration order, so the
+    all-on-premises placement (the zero-cost extreme) comes first.
     """
-    profiles = []
-    for cloud in enumerate_placements(graph):
-        res = simulate_placement(graph, cloud, cluster)
-        profiles.append(
-            PlacementProfile(
-                cloud=cloud,
-                runtime_s=res.runtime_s,
-                cloud_core_s=res.cloud_core_s,
-                cloud_usd=res.cloud_core_s * cluster.cloud_usd_per_core_s,
-                up_bytes=res.up_bytes,
+    placements = enumerate_placements(graph)
+    probe = sorted(
+        {
+            float(mult_grid[0]),
+            float(np.median(mult_grid)),
+            float(mult_grid[-1]),
+        }
+    )
+    keep: set[int] = set()
+    for m in probe:
+        res = [simulate_placement(graph, p, cluster, mult=m) for p in placements]
+        keep.update(
+            pareto_front(
+                [r.cloud_core_s for r in res], [-r.runtime_s for r in res]
             )
         )
-    profiles.sort(key=lambda p: (p.cloud_usd, p.runtime_s))
-    frontier: list[PlacementProfile] = []
-    best_runtime = float("inf")
-    for p in profiles:
-        if p.runtime_s < best_runtime - 1e-12:
-            frontier.append(p)
-            best_runtime = p.runtime_s
-    return frontier
+    return [placements[j] for j in sorted(keep)]

@@ -59,7 +59,6 @@ def compute_budget_per_vs(
     *,
     interval_s: float,
     cloud_budget_usd: float,
-    mean_mult: float = 1.0,
     utilization: float = ONPREM_UTILIZATION,
 ) -> float:
     """Total compute budget in core-seconds per second of video.

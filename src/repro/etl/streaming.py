@@ -12,6 +12,8 @@ micro-batches (one parquet file per batch of arriving video), a
 3. runs the Transform UDFs at that configuration and appends the
    detections to the warehouse directory.
 
+Steps 1 and 2 are the simulator's :class:`~repro.core.switcher.KnobSwitcher`.
+
 ``maxFilesPerTrigger=1`` forces one micro-batch per arriving file so the
 switching cadence matches the paper's every-few-seconds reactivity.
 """
@@ -25,9 +27,15 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.fit import Fitted
+from repro.core.placement import PlacementProfile
+from repro.core.switcher import KnobSwitcher
 from repro.cv.ops import detect_segments, reported_quality
 from repro.video.stream import segment_schema
 from repro.workloads.base import Workload
+
+# The job runs every task on its own executors and models no buffer:
+# each configuration has this one placement, and it is always feasible.
+ON_PREMISES = PlacementProfile(cloud=(), runtime_s=0.0, cloud_usd=0.0)
 
 
 @dataclass
@@ -39,34 +47,27 @@ class StreamingSwitcher:
     fitted: Fitted
     alpha: np.ndarray  # (K, C) knob plan for the run
     seed: int = 0
-    k_cur: int = 0
-    counts: np.ndarray = field(default=None)
     last_quality: float | None = None
     history: list = field(default_factory=list)
+    switcher: KnobSwitcher = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.counts is None:
-            self.counts = np.zeros_like(self.alpha)
-        self.k_cur = self.fitted.k_minus_idx
+        self.switcher = KnobSwitcher(
+            self.fitted.categories,
+            self.fitted.quality_rank,
+            [[ON_PREMISES]] * self.fitted.n_configs,
+            start_config=self.fitted.k_minus_idx,
+        )
+        self.switcher.set_plan(self.alpha)
 
     def classify(self) -> int:
-        if self.last_quality is None:
+        if self.last_quality is None:  # nothing reported yet: the prior
             return int(np.argmax(self.alpha.sum(axis=0)))
-        return int(
-            self.fitted.categories.classify_1d(self.k_cur, self.last_quality)[0]
-        )
-
-    def pick(self, c: int) -> int:
-        total = self.counts[:, c].sum()
-        used = self.counts[:, c] / total if total else np.zeros(len(self.counts))
-        k = int(np.argmax(self.alpha[:, c] - used))
-        self.counts[k, c] += 1
-        self.k_cur = k
-        return k
+        return self.switcher.classify(self.last_quality)
 
     def process_batch(self, pdf: pd.DataFrame) -> pd.DataFrame:
         c = self.classify()
-        k = self.pick(c)
+        k, _ = self.switcher.choose(c, lambda k, p: True)
         cfg = self.fitted.configs[k]
         det = detect_segments(self.wl, cfg, pdf, seed=self.seed)
         self.last_quality = reported_quality(self.wl, cfg, pdf, seed=self.seed)
@@ -91,7 +92,9 @@ def run_streaming_job(
 
     Processes every available batch file (availableNow trigger, one file
     per micro-batch), appending detections parquet to ``out_dir``.
-    Returns the switcher with its per-batch decision history.
+    Returns the switcher with its per-batch decision history.  Raises
+    :class:`TimeoutError` after stopping the query if it has not
+    finished within ``timeout_s``.
     """
     os.makedirs(out_dir, exist_ok=True)
     switcher = StreamingSwitcher(wl=wl, fitted=fitted, alpha=alpha, seed=seed)
@@ -124,4 +127,8 @@ def run_streaming_job(
     query.awaitTermination(timeout_s)
     if query.isActive:
         query.stop()
+        raise TimeoutError(
+            f"streaming job over {in_dir} did not finish in {timeout_s} s; "
+            f"stopped after {len(switcher.history)} batches"
+        )
     return switcher

@@ -8,6 +8,10 @@ cloud placements consume cloud credits.  This is the harness behind
 Table 2, the ablation variants of Section 5.4, and the microbenchmarks
 of Section 5.6.
 
+:func:`simulate` is the one per-segment loop: Skyscraper and the
+queue-based baselines differ only in the ``decide`` policy that picks
+each segment's configuration and placement.
+
 The simulator enforces the V-ETL contract of Eq. 1: the knob switcher
 never admits a placement whose predicted completion would push the
 buffered (arrived-but-unprocessed) bytes beyond the buffer size, falling
@@ -15,19 +19,29 @@ back to cheaper configurations instead.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from repro.core.fit import Fitted
 from repro.core.planner import make_plan
 from repro.core.switcher import KnobSwitcher
-from repro.core.placement import PlacementProfile, enumerate_placements
+from repro.core.placement import (
+    PlacementProfile,
+    frontier_placements,
+    multiplier_grid,
+)
 from repro.sim.cluster import Cluster
 from repro.sim.dagsim import simulate_placement
 from repro.video.content import ContentTrace
 from repro.workloads.base import Config, Workload
+
+# fraction of the buffer Skyscraper's placements may fill
+# (see SegmentQueue.would_overflow)
+BUFFER_HEADROOM = 0.9
 
 
 @dataclass
@@ -91,81 +105,52 @@ def build_placement_tables(
     *,
     enable_cloud: bool = True,
 ) -> list[PlacementTable]:
-    """Profile every configuration's placements over the multiplier grid.
-
-    The Pareto filter (Appendix A.2) is applied as the union of the
-    (cost, runtime) frontiers at the smallest, median, and largest
-    multiplier — cloud latency does not scale with the multiplier, so a
-    placement dominated for one stream may dominate for sixty.
-    """
+    """Profile every configuration's Pareto placements (Appendix A.2,
+    :func:`~repro.core.placement.frontier_placements`) over the
+    multiplier grid; without cloud, only the all-on-premises one."""
     tables = []
-    probe = sorted(
-        {
-            float(mult_grid[0]),
-            float(np.median(mult_grid)),
-            float(mult_grid[-1]),
-        }
-    )
     for cfg in configs:
         graph = wl.task_graph(cfg)
-        all_p = enumerate_placements(graph)
-        if not enable_cloud:
-            all_p = [p for p in all_p if not any(p)]
-        keep: set[int] = set()
-        for m in probe:
-            res = [
-                simulate_placement(graph, p, cluster, mult=m) for p in all_p
-            ]
-            order = sorted(
-                range(len(all_p)),
-                key=lambda j: (res[j].cloud_core_s, res[j].runtime_s),
-            )
-            best_rt = float("inf")
-            for j in order:
-                if res[j].runtime_s < best_rt - 1e-12:
-                    keep.add(j)
-                    best_rt = res[j].runtime_s
-        kept = sorted(keep)
+        kept = (
+            frontier_placements(graph, cluster, mult_grid)
+            if enable_cloud
+            else [(False,) * len(graph.nodes)]
+        )
         runtime = np.empty((len(kept), len(mult_grid)))
         cloud_usd = np.empty_like(runtime)
         for gi, m in enumerate(mult_grid):
-            for pi, j in enumerate(kept):
-                r = simulate_placement(graph, all_p[j], cluster, mult=float(m))
+            for pi, p in enumerate(kept):
+                r = simulate_placement(graph, p, cluster, mult=float(m))
                 runtime[pi, gi] = r.runtime_s
                 cloud_usd[pi, gi] = (
                     r.cloud_core_s * cluster.cloud_usd_per_core_s
                 )
         # sort by cloud cost at the smallest multiplier
         order = np.argsort(cloud_usd[:, 0], kind="stable")
-        profiles = tuple(
-            PlacementProfile(
-                cloud=all_p[kept[j]],
-                runtime_s=float(runtime[j, 0]),
-                cloud_core_s=float(
-                    cloud_usd[j, 0] / cluster.cloud_usd_per_core_s
-                ),
-                cloud_usd=float(cloud_usd[j, 0]),
-                up_bytes=0.0,
-            )
-            for j in order
-        )
         tables.append(
             PlacementTable(
-                placements=tuple(all_p[kept[j]] for j in order),
+                placements=tuple(kept[j] for j in order),
                 runtime=runtime[order],
                 cloud_usd=cloud_usd[order],
-                profiles=profiles,
+                profiles=tuple(
+                    PlacementProfile(
+                        cloud=kept[j],
+                        runtime_s=float(runtime[j, 0]),
+                        cloud_usd=float(cloud_usd[j, 0]),
+                    )
+                    for j in order
+                ),
             )
         )
     return tables
 
 
-def multiplier_grid(trace: ContentTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Unique rounded multipliers and each segment's grid index."""
-    rounded = np.round(trace.work_multiplier).astype(int)
-    rounded = np.clip(rounded, 1, None)
-    grid, inverse = np.unique(rounded, return_inverse=True)
-    return grid.astype(float), inverse
+def per_multiplier(arrays: list[np.ndarray]) -> list[list[list[float]]]:
+    """``out[g][k][p] == arrays[k][p, g]`` as Python floats, so that the
+    per-segment loops do no numpy scalar indexing."""
+    return [
+        [a[:, g].tolist() for a in arrays] for g in range(arrays[0].shape[1])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +224,6 @@ class Prepared:
     work: np.ndarray  # (K,)
     qual_true: np.ndarray  # (K, n) noiseless
     qual_obs: np.ndarray  # (K, n) reported
-    weights: np.ndarray  # (n,) quality weights (stream count for MOSEI)
     qual_best: np.ndarray  # (n,) ceiling from the most qualitative config
     seg_bytes: np.ndarray  # (n,)
     mult_grid: np.ndarray
@@ -259,8 +243,6 @@ def prepare(
     qual_obs = np.stack(
         [wl.observed_quality_curve(c, trace, seed=seed) for c in configs]
     )
-    # mass is already folded into the quality curves
-    weights = np.ones(trace.n_segments)
     qual_best = wl.quality_curve(wl.best_config(), trace)
     seg_bytes = (
         wl.bitrate_bytes_per_s * wl.seg_len * trace.work_multiplier
@@ -280,7 +262,6 @@ def prepare(
         work=np.array([wl.work_per_vs(c) for c in configs]),
         qual_true=qual_true,
         qual_obs=qual_obs,
-        weights=weights,
         qual_best=qual_best,
         seg_bytes=seg_bytes,
         mult_grid=grid,
@@ -305,8 +286,9 @@ def finalize(
     wl, trace = prep.wl, prep.trace
     n = trace.n_segments
     idx = np.arange(n)
-    q_sum = float((prep.weights * prep.qual_true[chosen_k, idx]).sum())
-    q_best = float((prep.weights * prep.qual_best).sum())
+    # mass (MOSEI's stream count) is already folded into the curves
+    q_sum = float(prep.qual_true[chosen_k, idx].sum())
+    q_best = float(prep.qual_best.sum())
     duration_s = n * wl.seg_len
     onprem_usd = cluster.onprem_cost(duration_s)
     work = float(
@@ -342,6 +324,53 @@ def finalize(
 
 
 # ---------------------------------------------------------------------------
+# the per-segment decision loop
+# ---------------------------------------------------------------------------
+
+
+def simulate(
+    prep: Prepared,
+    cluster: Cluster,
+    tables: list[PlacementTable],
+    decide: Callable[[int, int, SegmentQueue], tuple[int, int]],
+    *,
+    method: str,
+    **finalize_kw,
+) -> RunResult:
+    """Ingest ``prep.trace`` on ``cluster`` with one decision per segment.
+
+    ``decide(i, g, queue)`` returns the configuration index k and the
+    placement index p into ``tables[k]`` for segment i, whose multiplier
+    grid index is g; it may consult (and, for profiling work, delay)
+    ``queue``.  The segment is then processed with that placement's
+    runtime and its cloud cost is added to the spend.  ``finalize_kw``
+    goes on to :func:`finalize`.
+    """
+    runtime = per_multiplier([t.runtime for t in tables])
+    cost = per_multiplier([t.cloud_usd for t in tables])
+    queue = SegmentQueue(prep.wl.seg_len, prep.seg_bytes, cluster.buffer_bytes)
+    chosen = []
+    cloud_usd = cloud_core_s = 0.0
+    for i, g in enumerate(prep.mult_idx.tolist()):
+        k, p = decide(i, g, queue)
+        queue.step(i, runtime[g][k][p])
+        usd = cost[g][k][p]
+        cloud_usd += usd
+        cloud_core_s += usd / cluster.cloud_usd_per_core_s
+        chosen.append(k)
+    return finalize(
+        prep,
+        cluster,
+        method=method,
+        chosen_k=np.array(chosen, dtype=int),
+        queue=queue,
+        cloud_usd=cloud_usd,
+        cloud_core_s=cloud_core_s,
+        **finalize_kw,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Skyscraper online phase
 # ---------------------------------------------------------------------------
 
@@ -359,8 +388,6 @@ def run_skyscraper(
     enable_buffer: bool = True,
     classify_mode: str = "standard",
     ground_truth_forecast: bool = False,
-    buffer_headroom: float = 0.9,
-    method: str = "skyscraper",
 ) -> RunResult:
     """Simulate Skyscraper's online phase over ``trace``.
 
@@ -375,17 +402,16 @@ def run_skyscraper(
     """
     if plan_days is None:
         plan_days = fitted.spec.out_days
+    if not enable_buffer:
+        cluster = dataclasses.replace(cluster, buffer_bytes=0.0)
     prep = prepare(
         wl, fitted.configs, trace, seed=seed, categories=fitted.categories
     )
     tables = build_placement_tables(
         wl, fitted.configs, cluster, prep.mult_grid, enable_cloud=enable_cloud
     )
-    n = trace.n_segments
-    seg_len = wl.seg_len
-    buffer_bytes = cluster.buffer_bytes if enable_buffer else 0.0
-    queue = SegmentQueue(seg_len, prep.seg_bytes, buffer_bytes)
-
+    runtime = per_multiplier([t.runtime for t in tables])
+    cost = per_multiplier([t.cloud_usd for t in tables])
     switcher = KnobSwitcher(
         fitted.categories,
         fitted.quality_rank,
@@ -393,116 +419,97 @@ def run_skyscraper(
         start_config=fitted.k_minus_idx,
     )
 
+    n = trace.n_segments
+    seg_len = wl.seg_len
+    n_cats = fitted.categories.n
     plan_interval_segments = max(1, int(round(plan_days * 86400.0 / seg_len)))
     bin_segments = max(1, int(round(fitted.spec.bin_s / seg_len)))
+    horizon = int(round(fitted.spec.in_bins * 4))  # bounded label history
+    qual_obs = prep.qual_obs
+    mult = trace.work_multiplier
 
-    chosen = np.empty(n, dtype=int)
     est_labels = np.empty(n, dtype=int)
     est_labels_nb = np.empty(n, dtype=int)
-    cloud_usd_total = 0.0
-    cloud_core_s_total = 0.0
     cloud_allow = 0.0
-    plan_spend_breakdown: list[float] = []
-
     # rolling label history for online forecasting features
     label_bins: list[np.ndarray] = []
-    cur_bin = np.zeros(fitted.categories.n)
+    cur_bin = np.zeros(n_cats)
 
-    mult = trace.work_multiplier
-    mult_idx = prep.mult_idx
-    k_cur = fitted.k_minus_idx
-
-    for i in range(n):
-        if i % plan_interval_segments == 0:
-            interval_s = min(plan_interval_segments, n - i) * seg_len
+    def plan(i: int) -> None:
+        nonlocal cloud_allow
+        interval_s = min(plan_interval_segments, n - i) * seg_len
+        if enable_cloud:
             cloud_allow += cloud_budget_usd_per_day * interval_s / 86400.0
-            if not enable_cloud:
-                cloud_allow = 0.0
-            if ground_truth_forecast and prep.gt_labels is not None:
-                upcoming = prep.gt_labels[i : i + plan_interval_segments]
-                ratios = np.bincount(
-                    upcoming, minlength=fitted.categories.n
-                ).astype(float)
-                ratios /= ratios.sum()
-            else:
-                ratios = None
-            hists = (
-                np.vstack(label_bins)
-                if label_bins
-                else fitted.train_hists
-            )
-            recent_mult = (
-                float(mult[max(0, i - plan_interval_segments) : i + 1].mean())
-                if i > 0
-                else fitted.mean_mult
-            )
-            plan = make_plan(
-                fitted,
-                hists,
-                cluster,
-                interval_s=interval_s,
-                cloud_budget_usd=cloud_allow if enable_cloud else 0.0,
-                mean_mult=recent_mult,
-                ratios=ratios,
-            )
-            switcher.set_plan(plan.alpha)
-            plan_spend_breakdown.append(cloud_usd_total)
+        ratios = None
+        if ground_truth_forecast and prep.gt_labels is not None:
+            upcoming = prep.gt_labels[i : i + plan_interval_segments]
+            ratios = np.bincount(upcoming, minlength=n_cats).astype(float)
+            ratios /= ratios.sum()
+        hists = np.vstack(label_bins) if label_bins else fitted.train_hists
+        recent_mult = (
+            float(mult[max(0, i - plan_interval_segments) : i + 1].mean())
+            if i > 0
+            else fitted.mean_mult
+        )
+        knob_plan = make_plan(
+            fitted,
+            hists,
+            cluster,
+            interval_s=interval_s,
+            cloud_budget_usd=cloud_allow,
+            mean_mult=recent_mult,
+            ratios=ratios,
+        )
+        switcher.set_plan(knob_plan.alpha)
+
+    def decide(i: int, g: int, queue: SegmentQueue) -> tuple[int, int]:
+        nonlocal cloud_allow, cur_bin
+        if i % plan_interval_segments == 0:
+            plan(i)
 
         # step 1: classify the current content (Eq. 5)
+        k_cur = switcher.k_cur
         if classify_mode == "ground_truth":
             c = int(prep.gt_labels[i])
         elif classify_mode == "no_typeb":
-            c = switcher.classify(float(prep.qual_obs[k_cur, i]))
+            c = switcher.classify(float(qual_obs[k_cur, i]))
         else:
-            c = switcher.classify(float(prep.qual_obs[k_cur, max(0, i - 1)]))
+            c = switcher.classify(float(qual_obs[k_cur, max(0, i - 1)]))
         est_labels[i] = c
-        est_labels_nb[i] = switcher.classify(float(prep.qual_obs[k_cur, i]))
+        est_labels_nb[i] = switcher.classify(float(qual_obs[k_cur, i]))
 
-        gi = mult_idx[i]
-        table_rt = [t.runtime[:, gi] for t in tables]
-        table_cost = [t.cloud_usd[:, gi] for t in tables]
+        # steps 2-3: plan lookup, then a placement within the cloud
+        # credit that keeps the buffer below its headroom (Eq. 1)
+        rt, usd = runtime[g], cost[g]
 
         def feasible(k: int, p: PlacementProfile) -> bool:
             pi = tables[k].profiles.index(p)
-            cost = table_cost[k][pi]
-            if cost > cloud_allow + 1e-12:
+            if usd[k][pi] > cloud_allow + 1e-12:
                 return False
             return not queue.would_overflow(
-                i, float(table_rt[k][pi]), headroom=buffer_headroom
+                i, rt[k][pi], headroom=BUFFER_HEADROOM
             )
 
         k, p = switcher.choose(c, feasible)
         pi = tables[k].profiles.index(p)
-        runtime = float(table_rt[k][pi])
-        cost = float(table_cost[k][pi])
-        queue.step(i, runtime)
-        cloud_usd_total += cost
-        cloud_allow = max(0.0, cloud_allow - cost)
-        cloud_core_s_total += cost / cluster.cloud_usd_per_core_s
-        chosen[i] = k
-        k_cur = k
+        cloud_allow = max(0.0, cloud_allow - usd[k][pi])
 
         # bookkeeping for the forecaster's online features
         cur_bin[c] += 1.0
         if (i + 1) % bin_segments == 0:
             total = cur_bin.sum()
             label_bins.append(cur_bin / total if total else cur_bin)
-            cur_bin = np.zeros(fitted.categories.n)
-            horizon = int(
-                round(fitted.spec.in_bins * 4)
-            )  # keep a bounded history
+            cur_bin = np.zeros(n_cats)
             if len(label_bins) > horizon:
                 del label_bins[: len(label_bins) - horizon]
+        return k, pi
 
-    return finalize(
+    return simulate(
         prep,
         cluster,
-        method=method,
-        chosen_k=chosen,
-        queue=queue,
-        cloud_usd=cloud_usd_total,
-        cloud_core_s=cloud_core_s_total,
+        tables,
+        decide,
+        method="skyscraper",
         est_labels=est_labels,
         est_labels_no_typeb=est_labels_nb,
-        extras={"plan_spend": plan_spend_breakdown},
     )

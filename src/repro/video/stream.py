@@ -21,8 +21,6 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.video.content import ContentTrace
 from repro.workloads.base import Workload
 
-SEGMENT_SCHEMA_COLS = ("segment_id", "t_start", "mult")
-
 
 def segment_schema(wl: Workload) -> str:
     dims = ", ".join(f"{d} double" for d in wl.dims)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.categories import Categories
-from repro.core.placement import PlacementProfile, pareto_placements
+from repro.core.placement import PlacementProfile
 from repro.core.planner import compute_budget_per_vs, forecast_ratios, make_plan
 from repro.core.switcher import KnobSwitcher
 from repro.sim.cluster import make_cluster
@@ -134,10 +134,8 @@ def make_switcher(n_k=3, n_c=2):
                         [0.3 * (k + 1) for k in range(n_k)]])[:n_c]
     cats = Categories(centers=np.array(centers), configs=tuple(range(n_k)))
     placements = [
-        [PlacementProfile((False,), runtime_s=1.0 * (k + 1), cloud_core_s=0.0,
-                          cloud_usd=0.0, up_bytes=0.0),
-         PlacementProfile((True,), runtime_s=0.5 * (k + 1), cloud_core_s=1.0,
-                          cloud_usd=0.01, up_bytes=0.0)]
+        [PlacementProfile((False,), runtime_s=1.0 * (k + 1), cloud_usd=0.0),
+         PlacementProfile((True,), runtime_s=0.5 * (k + 1), cloud_usd=0.01)]
         for k in range(n_k)
     ]
     rank = list(range(n_k))[::-1]  # higher index = higher quality

@@ -1,15 +1,22 @@
 """Tests for placement enumeration + Pareto filtering (App. A.2)."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.placement import (
-    PlacementProfile,
-    enumerate_placements,
-    pareto_placements,
-)
+from repro.core.placement import PlacementProfile, enumerate_placements
 from repro.sim.cluster import make_cluster
+from repro.sim.ingest import build_placement_tables
 from repro.workloads import ALL_WORKLOADS, get_workload
+
+
+def pareto_placements(wl, cluster):
+    """Profiled Pareto placements of the best configuration at
+    multiplier 1, in the knob switcher's scan order."""
+    tables = build_placement_tables(
+        wl, [wl.best_config()], cluster, np.array([1.0])
+    )
+    return tables[0].profiles
 
 
 @pytest.fixture(params=ALL_WORKLOADS)
@@ -38,22 +45,19 @@ class TestEnumeration:
 
 class TestPareto:
     def test_contains_onprem_only(self, wl):
-        g = wl.task_graph(wl.best_config())
-        frontier = pareto_placements(g, make_cluster(8))
+        frontier = pareto_placements(wl, make_cluster(8))
         assert frontier[0].is_onprem_only
         assert frontier[0].cloud_usd == 0.0
 
     def test_sorted_by_cost_and_runtime_decreasing(self, wl):
-        g = wl.task_graph(wl.best_config())
-        frontier = pareto_placements(g, make_cluster(4))
+        frontier = pareto_placements(wl, make_cluster(4))
         costs = [p.cloud_usd for p in frontier]
         runtimes = [p.runtime_s for p in frontier]
         assert costs == sorted(costs)
         assert runtimes == sorted(runtimes, reverse=True)
 
     def test_no_dominated_members(self, wl):
-        g = wl.task_graph(wl.best_config())
-        frontier = pareto_placements(g, make_cluster(4))
+        frontier = pareto_placements(wl, make_cluster(4))
         for a in frontier:
             for b in frontier:
                 if a is b:
@@ -64,7 +68,7 @@ class TestPareto:
                 assert not dominated or b.cloud_usd < a.cloud_usd
 
     def test_profiles_are_frozen(self):
-        p = PlacementProfile((False,), 1.0, 0.0, 0.0, 0.0)
+        p = PlacementProfile((False,), 1.0, 0.0)
         with pytest.raises(AttributeError):
             p.runtime_s = 2.0
 
@@ -72,7 +76,6 @@ class TestPareto:
         """On 4 cores the expensive COVID config must have a cloud
         placement that is faster than all-on-premises."""
         wl = get_workload("covid")
-        g = wl.task_graph(wl.best_config())
-        frontier = pareto_placements(g, make_cluster(4))
+        frontier = pareto_placements(wl, make_cluster(4))
         assert len(frontier) >= 2
         assert frontier[-1].runtime_s < frontier[0].runtime_s

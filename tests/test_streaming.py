@@ -43,7 +43,7 @@ class TestStreamingSwitcher:
         pdf = trace_to_pandas(covid, tr)
         sw.process_batch(pdf)
         assert sw.history[0]["n_segments"] == len(pdf)
-        assert sw.counts.sum() == 1
+        assert sw.switcher.counts.sum() == 1
 
 
 class TestStreamingJob:
@@ -92,3 +92,14 @@ class TestStreamingJob:
             ["segment_id", "object_id"]
         ).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, expected, check_dtype=False)
+
+    def test_timeout_raises(self, spark, job, covid, covid_fit, plan_alpha,
+                            tmp_path):
+        """A stream that has not drained in ``timeout_s`` is stopped and
+        reported, not returned as a truncated success."""
+        _, in_dir, _ = job
+        with pytest.raises(TimeoutError, match="batches"):
+            run_streaming_job(
+                spark, covid, covid_fit, plan_alpha, in_dir,
+                str(tmp_path / "out"), seed=0, timeout_s=0.01,
+            )

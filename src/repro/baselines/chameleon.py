@@ -26,9 +26,7 @@ from repro.core.offline import filter_knob_configs
 from repro.sim.cluster import Cluster
 from repro.sim.ingest import (
     RunResult,
-    SegmentQueue,
     build_placement_tables,
-    per_multiplier,
     prepare,
     simulate,
 )
@@ -59,7 +57,6 @@ def run_chameleon(
     runtimes = np.stack(
         [t.runtime[0] for t in tables]
     )  # (K, G) on-prem-only runtime per multiplier grid value
-    runtime = per_multiplier([t.runtime for t in tables])
     epoch_segments = max(1, int(round(PROFILE_EVERY_S / wl.seg_len)))
     cheapest = int(np.argmin(prep.work))
     # per multiplier-grid value: best configuration that still runs in
@@ -74,7 +71,7 @@ def run_chameleon(
     k_epoch = cheapest
     extras = {"profiling_core_s": 0.0}
 
-    def decide(i: int, g: int, queue: SegmentQueue) -> tuple[int, int]:
+    def decide(i, g, rt, usd, queue):
         nonlocal k_epoch
         if i % epoch_segments == 0:
             # Profiling pass: run every candidate on the last
@@ -95,7 +92,6 @@ def run_chameleon(
             best_q = prof_q.max()
             ok = np.flatnonzero(prof_q >= QUALITY_SLACK * best_q)
             k_epoch = int(ok[np.argmin(prep.work[ok])])
-        rt = runtime[g]
         k = k_epoch
         if queue.would_overflow(i, rt[k][0]):
             # unmanaged fallback: drop to the best real-time config

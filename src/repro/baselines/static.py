@@ -11,7 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sim.cluster import Cluster
-from repro.sim.ingest import RunResult, build_placement_tables, prepare, simulate
+from repro.sim.ingest import (
+    RunResult,
+    build_placement_tables,
+    prepare,
+    simulate,
+)
 from repro.video.content import ContentTrace
 from repro.workloads.base import Config, Workload
 
@@ -73,7 +78,7 @@ def run_static(
         prep,
         cluster,
         tables,
-        lambda i, g, queue: (0, 0),
+        lambda *segment: (0, 0),
         method="static",
         extras={"config": wl.config_dict(config)},
     )

@@ -16,9 +16,7 @@ from repro.core.offline import filter_knob_configs
 from repro.sim.cluster import Cluster
 from repro.sim.ingest import (
     RunResult,
-    SegmentQueue,
     build_placement_tables,
-    per_multiplier,
     prepare,
     simulate,
 )
@@ -42,15 +40,13 @@ def run_videostorm(
     tables = build_placement_tables(
         wl, configs, cluster, prep.mult_grid, enable_cloud=False
     )
-    runtime = per_multiplier([t.runtime for t in tables])
     # content-agnostic quality ranking: mean quality on training data
     train_q = np.array(
         [float(wl.quality_curve(c, train_trace).mean()) for c in configs]
     )
     rank = np.argsort(-train_q).tolist()  # best quality first
 
-    def decide(i: int, g: int, queue: SegmentQueue) -> tuple[int, int]:
-        rt = runtime[g]
+    def decide(i, g, rt, usd, queue):
         for k in rank:
             if not queue.would_overflow(i, rt[k][0]):
                 return k, 0

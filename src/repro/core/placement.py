@@ -73,7 +73,9 @@ def frontier_placements(
     )
     keep: set[int] = set()
     for m in probe:
-        res = [simulate_placement(graph, p, cluster, mult=m) for p in placements]
+        res = [
+            simulate_placement(graph, p, cluster, mult=m) for p in placements
+        ]
         keep.update(
             pareto_front(
                 [r.cloud_core_s for r in res], [-r.runtime_s for r in res]

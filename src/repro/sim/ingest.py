@@ -145,14 +145,6 @@ def build_placement_tables(
     return tables
 
 
-def per_multiplier(arrays: list[np.ndarray]) -> list[list[list[float]]]:
-    """``out[g][k][p] == arrays[k][p, g]`` as Python floats, so that the
-    per-segment loops do no numpy scalar indexing."""
-    return [
-        [a[:, g].tolist() for a in arrays] for g in range(arrays[0].shape[1])
-    ]
-
-
 # ---------------------------------------------------------------------------
 # arrival / buffer accounting
 # ---------------------------------------------------------------------------
@@ -332,29 +324,34 @@ def simulate(
     prep: Prepared,
     cluster: Cluster,
     tables: list[PlacementTable],
-    decide: Callable[[int, int, SegmentQueue], tuple[int, int]],
+    decide: Callable[..., tuple[int, int]],
     *,
     method: str,
     **finalize_kw,
 ) -> RunResult:
     """Ingest ``prep.trace`` on ``cluster`` with one decision per segment.
 
-    ``decide(i, g, queue)`` returns the configuration index k and the
-    placement index p into ``tables[k]`` for segment i, whose multiplier
-    grid index is g; it may consult (and, for profiling work, delay)
-    ``queue``.  The segment is then processed with that placement's
-    runtime and its cloud cost is added to the spend.  ``finalize_kw``
-    goes on to :func:`finalize`.
+    ``decide(i, g, rt, usd, queue)`` returns the configuration index k
+    and the placement index p into ``tables[k]`` for segment i, whose
+    multiplier grid index is g; ``rt[k][p]`` and ``usd[k][p]`` are each
+    placement's runtime and cloud cost at that multiplier.  ``decide``
+    may consult (and, for profiling work, delay) ``queue``.  The segment
+    is then processed with the chosen placement's runtime and its cloud
+    cost is added to the spend.  ``finalize_kw`` goes on to
+    :func:`finalize`.
     """
-    runtime = per_multiplier([t.runtime for t in tables])
-    cost = per_multiplier([t.cloud_usd for t in tables])
+    # [g][k][p] as Python floats: no numpy scalar reads per segment
+    grid = range(len(prep.mult_grid))
+    runtime = [[t.runtime[:, g].tolist() for t in tables] for g in grid]
+    cost = [[t.cloud_usd[:, g].tolist() for t in tables] for g in grid]
     queue = SegmentQueue(prep.wl.seg_len, prep.seg_bytes, cluster.buffer_bytes)
     chosen = []
     cloud_usd = cloud_core_s = 0.0
     for i, g in enumerate(prep.mult_idx.tolist()):
-        k, p = decide(i, g, queue)
-        queue.step(i, runtime[g][k][p])
-        usd = cost[g][k][p]
+        rt, usd_g = runtime[g], cost[g]
+        k, p = decide(i, g, rt, usd_g, queue)
+        queue.step(i, rt[k][p])
+        usd = usd_g[k][p]
         cloud_usd += usd
         cloud_core_s += usd / cluster.cloud_usd_per_core_s
         chosen.append(k)
@@ -410,8 +407,6 @@ def run_skyscraper(
     tables = build_placement_tables(
         wl, fitted.configs, cluster, prep.mult_grid, enable_cloud=enable_cloud
     )
-    runtime = per_multiplier([t.runtime for t in tables])
-    cost = per_multiplier([t.cloud_usd for t in tables])
     switcher = KnobSwitcher(
         fitted.categories,
         fitted.quality_rank,
@@ -462,7 +457,7 @@ def run_skyscraper(
         )
         switcher.set_plan(knob_plan.alpha)
 
-    def decide(i: int, g: int, queue: SegmentQueue) -> tuple[int, int]:
+    def decide(i, g, rt, usd, queue):
         nonlocal cloud_allow, cur_bin
         if i % plan_interval_segments == 0:
             plan(i)
@@ -480,8 +475,6 @@ def run_skyscraper(
 
         # steps 2-3: plan lookup, then a placement within the cloud
         # credit that keeps the buffer below its headroom (Eq. 1)
-        rt, usd = runtime[g], cost[g]
-
         def feasible(k: int, p: PlacementProfile) -> bool:
             pi = tables[k].profiles.index(p)
             if usd[k][pi] > cloud_allow + 1e-12:

@@ -172,5 +172,5 @@ def write() -> None:
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: python -m tests.test_golden_decisions --write")
+        sys.exit("usage: python -m tests.test_golden_decisions --write")
     write()

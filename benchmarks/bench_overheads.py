@@ -26,7 +26,7 @@ def switcher(covid_wl, covid_fitted, bench_cluster):
     sw = KnobSwitcher(
         covid_fitted.categories,
         covid_fitted.quality_rank,
-        [t.profiles for t in tables],
+        [t.runtime[:, 0].tolist() for t in tables],
         start_config=covid_fitted.k_minus_idx,
     )
     rng = np.random.default_rng(0)

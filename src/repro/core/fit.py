@@ -83,10 +83,8 @@ def fit_skyscraper(
     train_days: float | None = None,
     n_categories: int | None = None,
     sample_frac: float = 0.05,
-    n_search: int = 4,
     plan_days: float = 2.0,
     in_days: float = 2.0,
-    n_splits: int = 8,
     spark=None,
     train_forecast: bool = True,
     trace: ContentTrace | None = None,
@@ -103,9 +101,7 @@ def fit_skyscraper(
 
     # 1. filter knob configurations -----------------------------------------
     t0 = time.perf_counter()
-    configs = filter_knob_configs(
-        wl, trace, n_search=n_search, seed=seed
-    )
+    configs = filter_knob_configs(wl, trace, seed=seed)
     work = np.array([wl.work_per_vs(c) for c in configs])
     timings["filter_knob_configs"] = time.perf_counter() - t0
 
@@ -156,7 +152,6 @@ def fit_skyscraper(
     spec = ForecastSpec(
         n_categories=n_categories,
         in_days=in_days,
-        n_splits=n_splits,
         out_days=plan_days,
     )
     obs_klabel = wl.observed_quality_curve(

@@ -5,8 +5,8 @@ The number of knob configurations is exponential in the number of knobs
 small set K on the work-quality Pareto frontier:
 
 1. find the cheapest configuration k- and the most qualitative k+;
-2. sample ``n_pre`` segments, record the (qual(k-), qual(k+)) 2-D quality
-   vector of each, and greedily select ``n_search`` segments with
+2. sample ``N_PRE`` segments, record the (qual(k-), qual(k+)) 2-D quality
+   vector of each, and greedily select ``N_SEARCH`` segments with
    maximally different content via max-min distance selection;
 3. on each selected segment, run greedy hill climbing [67] from k- as in
    VideoStorm [81], and keep the per-segment Pareto frontier of visited
@@ -19,6 +19,12 @@ import numpy as np
 
 from repro.video.content import ContentTrace
 from repro.workloads.base import Config, Workload
+
+N_PRE = 60  # segments sampled for the 2-D quality vectors
+N_SEARCH = 4  # of those, segments hill climbing runs on
+MAX_CONFIGS = 10  # cap on |K|
+MAX_STEPS = 60  # hill-climbing steps per segment
+HALF_WINDOW = 5  # segments either side of a searched segment
 
 
 def pareto_front(cost: np.ndarray, qual: np.ndarray) -> list[int]:
@@ -53,13 +59,13 @@ def maxmin_select(vectors: np.ndarray, n_select: int) -> list[int]:
 
 
 def _segment_quality(
-    wl: Workload, cfg: Config, trace: ContentTrace, idx: int, half_window: int = 5
+    wl: Workload, cfg: Config, trace: ContentTrace, idx: int
 ) -> float:
     """Mean noiseless quality of ``cfg`` on a short window around ``idx``
     (hill climbing judges configurations on a video segment, i.e. a few
     seconds of content, not a single 2 s slice)."""
-    lo = max(0, idx - half_window)
-    hi = min(trace.n_segments, idx + half_window + 1)
+    lo = max(0, idx - HALF_WINDOW)
+    hi = min(trace.n_segments, idx + HALF_WINDOW + 1)
     window = trace.slice(lo, hi)
     return float(wl.quality_curve(cfg, window).mean())
 
@@ -70,7 +76,6 @@ def hill_climb(
     seg_idx: int,
     *,
     start: Config,
-    max_steps: int = 60,
 ) -> list[Config]:
     """Greedy hill climbing from ``start`` on one sampled segment.
 
@@ -83,7 +88,7 @@ def hill_climb(
     current = start
     cur_q = _segment_quality(wl, current, trace, seg_idx)
     cur_w = wl.work_per_vs(current)
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         best = None
         best_ratio = 0.0
         for ki, knob in enumerate(wl.knobs):
@@ -116,17 +121,14 @@ def filter_knob_configs(
     wl: Workload,
     trace: ContentTrace,
     *,
-    n_search: int = 4,
-    n_pre: int = 60,
     seed: int = 0,
-    max_configs: int = 10,
 ) -> list[Config]:
     """Appendix A.1 end to end; returns K sorted by increasing work."""
     k_minus = wl.cheapest_config()
     k_plus = wl.best_config()
 
     rng = np.random.default_rng((seed, 0xF117E2))
-    n_pre = min(n_pre, trace.n_segments)
+    n_pre = min(N_PRE, trace.n_segments)
     pre_idx = np.sort(
         rng.choice(trace.n_segments, size=n_pre, replace=False)
     )
@@ -136,7 +138,7 @@ def filter_knob_configs(
             for k in (k_minus, k_plus)
         ]
     )
-    search_idx = [int(pre_idx[j]) for j in maxmin_select(q_pre, n_search)]
+    search_idx = [int(pre_idx[j]) for j in maxmin_select(q_pre, N_SEARCH)]
 
     union: dict[Config, None] = {k_minus: None, k_plus: None}
     for si in search_idx:
@@ -149,7 +151,7 @@ def filter_knob_configs(
             union[visited[j]] = None
 
     configs = sorted(union, key=wl.work_per_vs)
-    if len(configs) > max_configs:
+    if len(configs) > MAX_CONFIGS:
         # Keep the global Pareto frontier on (work, mean pre-sample
         # quality), always retaining the extremes k- and k+.
         cost = np.array([wl.work_per_vs(c) for c in configs])
@@ -163,10 +165,10 @@ def filter_knob_configs(
         )
         keep = set(pareto_front(cost, qual)) | {0, len(configs) - 1}
         configs = [c for j, c in enumerate(configs) if j in keep]
-        if len(configs) > max_configs:
+        if len(configs) > MAX_CONFIGS:
             # Thin evenly across the work range, keeping the extremes.
             pick = np.unique(
-                np.linspace(0, len(configs) - 1, max_configs).round().astype(int)
+                np.linspace(0, len(configs) - 1, MAX_CONFIGS).round().astype(int)
             )
             configs = [configs[int(j)] for j in pick]
     return configs

@@ -12,7 +12,6 @@ costs — is exactly what the online knob switcher consumes (Section 4.2).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,19 +20,6 @@ from repro.sim.cluster import Cluster
 from repro.sim.dagsim import simulate_placement
 from repro.video.content import ContentTrace
 from repro.workloads.base import TaskGraph
-
-
-@dataclass(frozen=True)
-class PlacementProfile:
-    """One profiled placement of a configuration's task graph."""
-
-    cloud: tuple[bool, ...]  # per-node cloud flag
-    runtime_s: float  # per segment, at work multiplier 1
-    cloud_usd: float  # per segment, at work multiplier 1
-
-    @property
-    def is_onprem_only(self) -> bool:
-        return not any(self.cloud)
 
 
 def enumerate_placements(graph: TaskGraph) -> list[tuple[bool, ...]]:

@@ -25,7 +25,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.categories import Categories
-from repro.core.placement import PlacementProfile
 
 
 class KnobSwitcher:
@@ -35,13 +34,23 @@ class KnobSwitcher:
         self,
         categories: Categories,
         quality_rank: Sequence[int],
-        placements: Sequence[Sequence[PlacementProfile]],
+        runtimes: Sequence[Sequence[float]],
         *,
         start_config: int = 0,
     ) -> None:
+        """``runtimes[k][p]`` is placement p's runtime for configuration
+        k at the grid's smallest multiplier, placements in scan order
+        (ascending cloud cost)."""
         self.categories = categories
         self.quality_rank = list(quality_rank)  # best quality first
-        self.placements = [list(p) for p in placements]
+        self.placement_idx = [range(len(rt)) for rt in runtimes]
+        # when nothing is feasible: the least qualitative configuration's
+        # fastest placement (the first one on a runtime tie)
+        k_last = self.quality_rank[-1]
+        self.forced = (
+            k_last,
+            min(self.placement_idx[k_last], key=runtimes[k_last].__getitem__),
+        )
         n_k = categories.n_configs
         n_c = categories.n
         self.alpha = np.full((n_k, n_c), 1.0 / n_k)  # plan (uniform until set)
@@ -87,30 +96,28 @@ class KnobSwitcher:
     def choose(
         self,
         category: int,
-        feasible: Callable[[int, PlacementProfile], bool],
-    ) -> tuple[int, PlacementProfile]:
-        """Step 3: pick (configuration, placement).
+        feasible: Callable[[int, int], bool],
+    ) -> tuple[int, int]:
+        """Step 3: pick (configuration, placement index).
 
-        ``feasible(k_idx, placement)`` must return whether using this
-        placement keeps the buffer from overflowing (and any cloud-credit
-        constraint the caller enforces).  Placements are scanned cheapest
-        first; configurations fall back from the desired one to less
-        qualitative ones.  If nothing is feasible, the least qualitative
-        configuration's fastest placement is returned (the caller's
-        provisioning contract guarantees this never overflows in
-        practice; the ingestion simulator records an overflow flag
-        otherwise).
+        ``feasible(k, p)`` must return whether using placement p of
+        configuration k keeps the buffer from overflowing (and any
+        cloud-credit constraint the caller enforces).  Placements are
+        scanned cheapest first; configurations fall back from the
+        desired one to less qualitative ones.  If nothing is feasible,
+        the least qualitative configuration's fastest placement is
+        returned (the caller's provisioning contract guarantees this
+        never overflows in practice; the ingestion simulator records an
+        overflow flag otherwise).
         """
         k_desired = self.pick_config(category)
         for k in self.fallback_order(k_desired):
-            for p in self.placements[k]:  # sorted by ascending cloud cost
+            for p in self.placement_idx[k]:  # ascending cloud cost
                 if feasible(k, p):
                     self._record(k, category)
                     return k, p
-        k_last = self.quality_rank[-1]
-        p_last = min(self.placements[k_last], key=lambda p: p.runtime_s)
-        self._record(k_last, category)
-        return k_last, p_last
+        self._record(self.forced[0], category)
+        return self.forced
 
     def _record(self, k: int, category: int) -> None:
         self.counts[k, category] += 1.0

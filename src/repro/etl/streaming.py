@@ -27,15 +27,10 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.fit import Fitted
-from repro.core.placement import PlacementProfile
 from repro.core.switcher import KnobSwitcher
 from repro.cv.ops import detect_segments, reported_quality
 from repro.video.stream import segment_schema
 from repro.workloads.base import Workload
-
-# The job runs every task on its own executors and models no buffer:
-# each configuration has this one placement, and it is always feasible.
-ON_PREMISES = PlacementProfile(cloud=(), runtime_s=0.0, cloud_usd=0.0)
 
 
 @dataclass
@@ -52,17 +47,19 @@ class StreamingSwitcher:
     switcher: KnobSwitcher = field(init=False)
 
     def __post_init__(self) -> None:
+        # The job runs every task on its own executors and models no
+        # buffer: each configuration has one placement, always feasible.
         self.switcher = KnobSwitcher(
             self.fitted.categories,
             self.fitted.quality_rank,
-            [[ON_PREMISES]] * self.fitted.n_configs,
+            [[0.0]] * self.fitted.n_configs,
             start_config=self.fitted.k_minus_idx,
         )
         self.switcher.set_plan(self.alpha)
 
     def classify(self) -> int:
-        if self.last_quality is None:  # nothing reported yet: the prior
-            return int(np.argmax(self.alpha.sum(axis=0)))
+        if self.last_quality is None:  # plan columns all sum to 1: no prior
+            return 0
         return self.switcher.classify(self.last_quality)
 
     def process_batch(self, pdf: pd.DataFrame) -> pd.DataFrame:

@@ -2,37 +2,18 @@
 
 Maps the segment stream to the application-specific intermediate format
 (detections) by running the simulated CV UDFs inside ``mapInPandas``.
-The knob configuration can be fixed for the whole DataFrame (static
-baseline / offline profiling) or provided per segment via a
-``config_id`` column (the knob switcher's assignment), in which case
-each partition batch groups by configuration before invoking the UDFs —
-the distributed analogue of the Ray-actor dispatch in the paper's
-implementation (Section 5.1).
+Each segment carries its knob configuration in a ``config_id`` column
+(the knob switcher's assignment; a constant column runs one fixed
+configuration), and each partition batch groups by configuration before
+invoking the UDFs — the distributed analogue of the Ray-actor dispatch
+in the paper's implementation (Section 5.1).
 """
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.cv.ops import DETECTION_SCHEMA, detect_segments
 from repro.workloads.base import Config, Workload
-
-
-def transform_segments(
-    seg_df: DataFrame,
-    wl: Workload,
-    cfg: Config,
-    *,
-    seed: int,
-) -> DataFrame:
-    """Transform every segment with one fixed knob configuration."""
-
-    def run(batches):
-        for b in batches:
-            if len(b):
-                yield detect_segments(wl, cfg, b, seed=seed)
-
-    return seg_df.mapInPandas(run, schema=DETECTION_SCHEMA)
 
 
 def transform_segments_switched(

@@ -29,11 +29,7 @@ import numpy as np
 from repro.core.fit import Fitted
 from repro.core.planner import make_plan
 from repro.core.switcher import KnobSwitcher
-from repro.core.placement import (
-    PlacementProfile,
-    frontier_placements,
-    multiplier_grid,
-)
+from repro.core.placement import frontier_placements, multiplier_grid
 from repro.sim.cluster import Cluster
 from repro.sim.dagsim import simulate_placement
 from repro.video.content import ContentTrace
@@ -86,15 +82,14 @@ class PlacementTable:
     """Profiled placements of one configuration over all multipliers.
 
     ``runtime[p, g]`` / ``cloud_usd[p, g]`` give placement p's segment
-    runtime and cloud cost at multiplier grid value g.  Placements are
-    sorted by ascending cloud cost at multiplier 1 (the switcher's
-    "cheapest first" scan order).
+    runtime and cloud cost at multiplier grid value g.  Rows are sorted
+    by ascending cloud cost in column 0, the grid's smallest multiplier
+    (the switcher's "cheapest first" scan order); a placement is its
+    row index.
     """
 
-    placements: tuple[tuple[bool, ...], ...]
     runtime: np.ndarray  # (P, G)
     cloud_usd: np.ndarray  # (P, G)
-    profiles: tuple[PlacementProfile, ...]  # at multiplier 1
 
 
 def build_placement_tables(
@@ -128,19 +123,7 @@ def build_placement_tables(
         # sort by cloud cost at the smallest multiplier
         order = np.argsort(cloud_usd[:, 0], kind="stable")
         tables.append(
-            PlacementTable(
-                placements=tuple(kept[j] for j in order),
-                runtime=runtime[order],
-                cloud_usd=cloud_usd[order],
-                profiles=tuple(
-                    PlacementProfile(
-                        cloud=kept[j],
-                        runtime_s=float(runtime[j, 0]),
-                        cloud_usd=float(cloud_usd[j, 0]),
-                    )
-                    for j in order
-                ),
-            )
+            PlacementTable(runtime=runtime[order], cloud_usd=cloud_usd[order])
         )
     return tables
 
@@ -410,7 +393,7 @@ def run_skyscraper(
     switcher = KnobSwitcher(
         fitted.categories,
         fitted.quality_rank,
-        [t.profiles for t in tables],
+        [t.runtime[:, 0].tolist() for t in tables],
         start_config=fitted.k_minus_idx,
     )
 
@@ -475,17 +458,15 @@ def run_skyscraper(
 
         # steps 2-3: plan lookup, then a placement within the cloud
         # credit that keeps the buffer below its headroom (Eq. 1)
-        def feasible(k: int, p: PlacementProfile) -> bool:
-            pi = tables[k].profiles.index(p)
-            if usd[k][pi] > cloud_allow + 1e-12:
+        def feasible(k: int, p: int) -> bool:
+            if usd[k][p] > cloud_allow + 1e-12:
                 return False
             return not queue.would_overflow(
-                i, rt[k][pi], headroom=BUFFER_HEADROOM
+                i, rt[k][p], headroom=BUFFER_HEADROOM
             )
 
         k, p = switcher.choose(c, feasible)
-        pi = tables[k].profiles.index(p)
-        cloud_allow = max(0.0, cloud_allow - usd[k][pi])
+        cloud_allow = max(0.0, cloud_allow - usd[k][p])
 
         # bookkeeping for the forecaster's online features
         cur_bin[c] += 1.0
@@ -495,7 +476,7 @@ def run_skyscraper(
             cur_bin = np.zeros(n_cats)
             if len(label_bins) > horizon:
                 del label_bins[: len(label_bins) - horizon]
-        return k, pi
+        return k, p
 
     return simulate(
         prep,

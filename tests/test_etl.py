@@ -1,8 +1,7 @@
 """Tests for the V-ETL Extract/Transform/Load dataflow.
 
 Every relational result is verified against DuckDB through
-``repro.oracle.assert_equivalent``; the provided TPC-H-lite generators
-are used as an additional oracle sanity layer.
+``repro.oracle.assert_equivalent``.
 """
 from __future__ import annotations
 
@@ -10,7 +9,6 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro import synth_data
 from repro.cv.ops import detect_segments, objects_present, reported_quality
 from repro.etl.load import (
     busiest_hours,
@@ -19,7 +17,7 @@ from repro.etl.load import (
     ev_counts_per_hour,
     segment_stats,
 )
-from repro.etl.transform import transform_segments, transform_segments_switched
+from repro.etl.transform import transform_segments_switched
 from repro.oracle import assert_equivalent
 from repro.video.stream import segments_df, trace_to_pandas, write_stream_batches
 
@@ -32,48 +30,10 @@ def seg_pdf(covid):
 
 @pytest.fixture(scope="module")
 def det_df(spark, covid, seg_pdf):
-    seg = spark.createDataFrame(seg_pdf).repartition(4)
-    return transform_segments(
-        seg, covid, covid.best_config(), seed=0
+    seg = spark.createDataFrame(seg_pdf.assign(config_id=0)).repartition(4)
+    return transform_segments_switched(
+        seg, covid, [covid.best_config()], seed=0
     ).cache()
-
-
-class TestOracleSanityTPCH:
-    """The provided DuckDB oracle itself, on TPC-H-lite inputs."""
-
-    def test_lineitem_aggregate(self, spark):
-        from pyspark.sql import functions as F
-
-        li = synth_data.lineitem(spark, sf=0.001)
-        res = li.groupBy("l_returnflag").agg(
-            F.count(F.lit(1)).alias("n"),
-            F.round(F.sum("l_quantity"), 6).alias("sum_qty"),
-        )
-        assert_equivalent(
-            res,
-            "SELECT l_returnflag, count(*) AS n, "
-            "round(sum(l_quantity), 6) AS sum_qty "
-            "FROM li GROUP BY l_returnflag",
-            li=li,
-        )
-
-    def test_join_orders_customer(self, spark):
-        from pyspark.sql import functions as F
-
-        o = synth_data.orders(spark, sf=0.001)
-        c = synth_data.customer(spark, sf=0.001)
-        res = (
-            o.join(c, o.o_custkey == c.c_custkey)
-            .groupBy("c_mktsegment")
-            .agg(F.count(F.lit(1)).alias("n"))
-        )
-        assert_equivalent(
-            res,
-            "SELECT c_mktsegment, count(*) AS n FROM o "
-            "JOIN c ON o_custkey = c_custkey GROUP BY c_mktsegment",
-            o=o,
-            c=c,
-        )
 
 
 class TestCvOps:
@@ -195,6 +155,34 @@ class TestLoadQueries:
             "count(*) AS n FROM det GROUP BY 1 ORDER BY n DESC, hour ASC "
             "LIMIT 3",
             det=det_df,
+        )
+
+    def test_segment_stats_join_segments(self, spark, seg_pdf, det_df):
+        """A two-table Load: per-segment stats joined back to the
+        segments on ``segment_id``, grouped by ten-minute window."""
+        from pyspark.sql import functions as F
+
+        seg = spark.createDataFrame(seg_pdf)
+        res = (
+            segment_stats(det_df)
+            .join(seg, "segment_id")
+            .groupBy(F.floor(F.col("t_start") / 600).cast("long").alias("w"))
+            .agg(
+                F.count(F.lit(1)).alias("n_segments"),
+                F.sum("n_detections").alias("n_detections"),
+                F.round(F.avg("mult"), 6).alias("avg_mult"),
+            )
+        )
+        assert_equivalent(
+            res,
+            "WITH stats AS (SELECT segment_id, count(*) AS n_detections "
+            "FROM det GROUP BY segment_id) "
+            "SELECT CAST(floor(t_start/600) AS BIGINT) AS w, "
+            "count(*) AS n_segments, sum(n_detections) AS n_detections, "
+            "round(avg(mult), 6) AS avg_mult "
+            "FROM stats JOIN seg USING (segment_id) GROUP BY 1",
+            det=det_df,
+            seg=seg,
         )
 
 

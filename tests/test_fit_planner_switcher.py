@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.categories import Categories
-from repro.core.placement import PlacementProfile
 from repro.core.planner import compute_budget_per_vs, forecast_ratios, make_plan
 from repro.core.switcher import KnobSwitcher
 from repro.sim.cluster import make_cluster
@@ -133,13 +132,10 @@ def make_switcher(n_k=3, n_c=2):
     centers = np.array([[0.1 * (k + 1) for k in range(n_k)],
                         [0.3 * (k + 1) for k in range(n_k)]])[:n_c]
     cats = Categories(centers=np.array(centers), configs=tuple(range(n_k)))
-    placements = [
-        [PlacementProfile((False,), runtime_s=1.0 * (k + 1), cloud_usd=0.0),
-         PlacementProfile((True,), runtime_s=0.5 * (k + 1), cloud_usd=0.01)]
-        for k in range(n_k)
-    ]
+    # placement 0 on premises, placement 1 on the cloud (faster)
+    runtimes = [[1.0 * (k + 1), 0.5 * (k + 1)] for k in range(n_k)]
     rank = list(range(n_k))[::-1]  # higher index = higher quality
-    return KnobSwitcher(cats, rank, placements)
+    return KnobSwitcher(cats, rank, runtimes)
 
 
 class TestSwitcher:
@@ -183,18 +179,19 @@ class TestSwitcher:
         sw = make_switcher()
         sw.set_plan(np.array([[1.0, 1], [0, 0], [0, 0]]))
         k, p = sw.choose(0, lambda k, p: True)
-        assert p.cloud_usd == 0.0  # on-prem placement scanned first
+        assert p == 0  # on-prem placement scanned first
 
     def test_cloud_placement_when_onprem_infeasible(self):
         sw = make_switcher()
         sw.set_plan(np.array([[1.0, 1], [0, 0], [0, 0]]))
-        k, p = sw.choose(0, lambda k, p: p.cloud_usd > 0)
-        assert k == 0 and p.cloud_usd > 0
+        k, p = sw.choose(0, lambda k, p: p == 1)
+        assert k == 0 and p == 1
 
     def test_total_infeasible_forces_last_rank(self):
         sw = make_switcher()
         k, p = sw.choose(0, lambda k, p: False)
         assert k == sw.quality_rank[-1]
+        assert p == 1  # the fastest placement
 
     def test_fallback_order_starts_at_desired(self):
         sw = make_switcher()

@@ -69,7 +69,8 @@ class TestPlacementTables:
         tables = build_placement_tables(covid, covid_fit.configs, cluster8, grid)
         assert len(tables) == len(covid_fit.configs)
         for t in tables:
-            assert t.runtime.shape == (len(t.placements), len(grid))
+            assert t.runtime.shape == t.cloud_usd.shape
+            assert t.runtime.shape[1] == len(grid)
             assert (t.runtime > 0).all()
             assert (t.cloud_usd >= 0).all()
             # sorted by cloud cost at the smallest multiplier
@@ -82,8 +83,8 @@ class TestPlacementTables:
             covid, covid_fit.configs, cluster8, grid, enable_cloud=False
         )
         for t in tables:
-            assert len(t.placements) == 1
-            assert not any(t.placements[0])
+            assert t.runtime.shape == (1, len(grid))
+            assert (t.cloud_usd == 0.0).all()
 
     def test_multiplier_grid(self, mosei_high):
         tr = mosei_high.content(seed=0, n_days=0.1)

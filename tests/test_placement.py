@@ -4,19 +4,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.placement import PlacementProfile, enumerate_placements
+from repro.core.placement import enumerate_placements
 from repro.sim.cluster import make_cluster
+from repro.sim.dagsim import simulate_placement
 from repro.sim.ingest import build_placement_tables
 from repro.workloads import ALL_WORKLOADS, get_workload
 
 
 def pareto_placements(wl, cluster):
-    """Profiled Pareto placements of the best configuration at
-    multiplier 1, in the knob switcher's scan order."""
-    tables = build_placement_tables(
+    """(cloud cost, runtime) of the best configuration's Pareto
+    placements at multiplier 1, in the knob switcher's scan order."""
+    (table,) = build_placement_tables(
         wl, [wl.best_config()], cluster, np.array([1.0])
     )
-    return tables[0].profiles
+    return table.cloud_usd[:, 0].tolist(), table.runtime[:, 0].tolist()
 
 
 @pytest.fixture(params=ALL_WORKLOADS)
@@ -45,37 +46,35 @@ class TestEnumeration:
 
 class TestPareto:
     def test_contains_onprem_only(self, wl):
-        frontier = pareto_placements(wl, make_cluster(8))
-        assert frontier[0].is_onprem_only
-        assert frontier[0].cloud_usd == 0.0
+        """The first row is the all-on-premises placement: no cloud cost,
+        and the runtime of the placement with no cloud node."""
+        cluster = make_cluster(8)
+        costs, runtimes = pareto_placements(wl, cluster)
+        g = wl.task_graph(wl.best_config())
+        onprem = simulate_placement(g, enumerate_placements(g)[0], cluster)
+        assert costs[0] == 0.0
+        assert runtimes[0] == onprem.runtime_s
 
     def test_sorted_by_cost_and_runtime_decreasing(self, wl):
-        frontier = pareto_placements(wl, make_cluster(4))
-        costs = [p.cloud_usd for p in frontier]
-        runtimes = [p.runtime_s for p in frontier]
+        costs, runtimes = pareto_placements(wl, make_cluster(4))
         assert costs == sorted(costs)
         assert runtimes == sorted(runtimes, reverse=True)
 
     def test_no_dominated_members(self, wl):
-        frontier = pareto_placements(wl, make_cluster(4))
-        for a in frontier:
-            for b in frontier:
-                if a is b:
+        costs, runtimes = pareto_placements(wl, make_cluster(4))
+        for a in range(len(costs)):
+            for b in range(len(costs)):
+                if a == b:
                     continue
                 dominated = (
-                    b.cloud_usd <= a.cloud_usd and b.runtime_s < a.runtime_s
+                    costs[b] <= costs[a] and runtimes[b] < runtimes[a]
                 )
-                assert not dominated or b.cloud_usd < a.cloud_usd
-
-    def test_profiles_are_frozen(self):
-        p = PlacementProfile((False,), 1.0, 0.0)
-        with pytest.raises(AttributeError):
-            p.runtime_s = 2.0
+                assert not dominated or costs[b] < costs[a]
 
     def test_cloud_helps_on_small_machine(self):
         """On 4 cores the expensive COVID config must have a cloud
         placement that is faster than all-on-premises."""
         wl = get_workload("covid")
-        frontier = pareto_placements(wl, make_cluster(4))
-        assert len(frontier) >= 2
-        assert frontier[-1].runtime_s < frontier[0].runtime_s
+        costs, runtimes = pareto_placements(wl, make_cluster(4))
+        assert len(runtimes) >= 2
+        assert runtimes[-1] < runtimes[0]

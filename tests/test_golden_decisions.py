@@ -39,6 +39,10 @@ SKYSCRAPER_VARIANTS = {
     "ground_truth": {"classify_mode": "ground_truth"},
     "gt_forecast": {"ground_truth_forecast": True},
 }
+# runs longer than one planning interval (0.25 days): the planner reads
+# the histograms the switcher recorded online, and COVID's 8 plans trim
+# that history to the forecaster's horizon
+REPLAN_TEST_DAYS = {"covid": 2.0, "mosei-high": 1.0}
 FINALIZE_MODULES = (
     "repro.sim.ingest",
     "repro.baselines.static",
@@ -61,6 +65,10 @@ def cells() -> dict[str, dict]:
             "workload": "covid", "method": "skyscraper", "vcpus": 8, **extra}
     for p in out.values():
         p.update(seed=0, train_days=TRAIN_DAYS, test_days=TEST_DAYS)
+    for wl, days in REPLAN_TEST_DAYS.items():
+        out[f"{wl}/8/skyscraper/replan"] = {
+            "workload": wl, "method": "skyscraper", "vcpus": 8, "seed": 0,
+            "train_days": TRAIN_DAYS, "test_days": days}
     return out
 
 

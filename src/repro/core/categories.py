@@ -43,11 +43,12 @@ class Categories:
         """Ground-truth style classification using all |K| dimensions."""
         return assign(np.atleast_2d(quality_vectors), self.centers)
 
-    def classify_1d(self, k_idx: int, quality) -> np.ndarray:
+    def classify_1d(self, k_idx, quality) -> np.ndarray:
         """Online classification (paper Eq. 5): nearest center using only
-        the dimension of the currently running configuration."""
+        the dimension of the running configuration ``k_idx`` (one index,
+        or one per quality value)."""
         q = np.atleast_1d(np.asarray(quality, dtype=float))
-        d = np.abs(self.centers[None, :, k_idx] - q[:, None])
+        d = np.abs(self.centers[:, k_idx].T - q[:, None])
         return d.argmin(axis=1)
 
     def qual_hat(self) -> np.ndarray:

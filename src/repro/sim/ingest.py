@@ -203,16 +203,10 @@ class Prepared:
     seg_bytes: np.ndarray  # (n,)
     mult_grid: np.ndarray
     mult_idx: np.ndarray  # (n,) index into mult_grid
-    gt_labels: np.ndarray | None = None  # (n,) ground-truth categories
 
 
 def prepare(
-    wl: Workload,
-    configs: list[Config],
-    trace: ContentTrace,
-    *,
-    seed: int,
-    categories=None,
+    wl: Workload, configs: list[Config], trace: ContentTrace, *, seed: int
 ) -> Prepared:
     qual_true = np.stack([wl.quality_curve(c, trace) for c in configs])
     qual_obs = np.stack(
@@ -227,9 +221,6 @@ def prepare(
         )
     )
     grid, idx = multiplier_grid(trace)
-    gt = None
-    if categories is not None:
-        gt = categories.classify_full(qual_true.T)
     return Prepared(
         wl=wl,
         trace=trace,
@@ -241,7 +232,6 @@ def prepare(
         seg_bytes=seg_bytes,
         mult_grid=grid,
         mult_idx=idx,
-        gt_labels=gt,
     )
 
 
@@ -254,8 +244,6 @@ def finalize(
     queue: SegmentQueue,
     cloud_usd: float,
     cloud_core_s: float,
-    est_labels: np.ndarray | None = None,
-    est_labels_no_typeb: np.ndarray | None = None,
     extras: dict | None = None,
 ) -> RunResult:
     wl, trace = prep.wl, prep.trace
@@ -269,13 +257,6 @@ def finalize(
     work = float(
         (prep.work[chosen_k] * wl.seg_len * trace.work_multiplier).sum()
     )
-    acc = acc_nb = float("nan")
-    if prep.gt_labels is not None and est_labels is not None:
-        acc = float((est_labels == prep.gt_labels).mean())
-        if est_labels_no_typeb is not None:
-            acc_nb = float(
-                (est_labels_no_typeb == prep.gt_labels).mean()
-            )
     return RunResult(
         workload=wl.name,
         method=method,
@@ -292,8 +273,6 @@ def finalize(
         buffer_peak_bytes=queue.peak,
         overflow=queue.overflowed,
         n_switches=int((np.diff(chosen_k) != 0).sum()),
-        switch_accuracy=acc,
-        switch_accuracy_no_typeb=acc_nb,
         extras=extras or {},
     )
 
@@ -310,7 +289,7 @@ def simulate(
     decide: Callable[..., tuple[int, int]],
     *,
     method: str,
-    **finalize_kw,
+    extras: dict | None = None,
 ) -> RunResult:
     """Ingest ``prep.trace`` on ``cluster`` with one decision per segment.
 
@@ -320,8 +299,7 @@ def simulate(
     placement's runtime and cloud cost at that multiplier.  ``decide``
     may consult (and, for profiling work, delay) ``queue``.  The segment
     is then processed with the chosen placement's runtime and its cloud
-    cost is added to the spend.  ``finalize_kw`` goes on to
-    :func:`finalize`.
+    cost is added to the spend.  ``extras`` goes on to the result.
     """
     # [g][k][p] as Python floats: no numpy scalar reads per segment
     grid = range(len(prep.mult_grid))
@@ -346,7 +324,7 @@ def simulate(
         queue=queue,
         cloud_usd=cloud_usd,
         cloud_core_s=cloud_core_s,
-        **finalize_kw,
+        extras=extras,
     )
 
 
@@ -384,9 +362,8 @@ def run_skyscraper(
         plan_days = fitted.spec.out_days
     if not enable_buffer:
         cluster = dataclasses.replace(cluster, buffer_bytes=0.0)
-    prep = prepare(
-        wl, fitted.configs, trace, seed=seed, categories=fitted.categories
-    )
+    prep = prepare(wl, fitted.configs, trace, seed=seed)
+    gt_labels = fitted.categories.classify_full(prep.qual_true.T)
     tables = build_placement_tables(
         wl, fitted.configs, cluster, prep.mult_grid, enable_cloud=enable_cloud
     )
@@ -407,11 +384,20 @@ def run_skyscraper(
     mult = trace.work_multiplier
 
     est_labels = np.empty(n, dtype=int)
-    est_labels_nb = np.empty(n, dtype=int)
+    k_run = np.empty(n, dtype=int)  # configuration running at decision i
     cloud_allow = 0.0
-    # rolling label history for online forecasting features
-    label_bins: list[np.ndarray] = []
-    cur_bin = np.zeros(n_cats)
+
+    def label_hists(i: int) -> np.ndarray:
+        """Category histograms of the last complete label bins before
+        segment i, at most ``horizon`` of them (the forecaster's online
+        features)."""
+        end = i // bin_segments
+        m = min(end, horizon)
+        if m == 0:
+            return fitted.train_hists
+        bins = est_labels[(end - m) * bin_segments : end * bin_segments]
+        onehot = bins.reshape(m, bin_segments, 1) == np.arange(n_cats)
+        return onehot.sum(axis=1) / bin_segments
 
     def plan(i: int) -> None:
         nonlocal cloud_allow
@@ -419,11 +405,10 @@ def run_skyscraper(
         if enable_cloud:
             cloud_allow += cloud_budget_usd_per_day * interval_s / 86400.0
         ratios = None
-        if ground_truth_forecast and prep.gt_labels is not None:
-            upcoming = prep.gt_labels[i : i + plan_interval_segments]
+        if ground_truth_forecast:
+            upcoming = gt_labels[i : i + plan_interval_segments]
             ratios = np.bincount(upcoming, minlength=n_cats).astype(float)
             ratios /= ratios.sum()
-        hists = np.vstack(label_bins) if label_bins else fitted.train_hists
         recent_mult = (
             float(mult[max(0, i - plan_interval_segments) : i + 1].mean())
             if i > 0
@@ -431,7 +416,7 @@ def run_skyscraper(
         )
         knob_plan = make_plan(
             fitted,
-            hists,
+            label_hists(i),
             cluster,
             interval_s=interval_s,
             cloud_budget_usd=cloud_allow,
@@ -441,20 +426,19 @@ def run_skyscraper(
         switcher.set_plan(knob_plan.alpha)
 
     def decide(i, g, rt, usd, queue):
-        nonlocal cloud_allow, cur_bin
+        nonlocal cloud_allow
         if i % plan_interval_segments == 0:
             plan(i)
 
         # step 1: classify the current content (Eq. 5)
-        k_cur = switcher.k_cur
+        k_cur = k_run[i] = switcher.k_cur
         if classify_mode == "ground_truth":
-            c = int(prep.gt_labels[i])
+            c = int(gt_labels[i])
         elif classify_mode == "no_typeb":
             c = switcher.classify(float(qual_obs[k_cur, i]))
         else:
             c = switcher.classify(float(qual_obs[k_cur, max(0, i - 1)]))
         est_labels[i] = c
-        est_labels_nb[i] = switcher.classify(float(qual_obs[k_cur, i]))
 
         # steps 2-3: plan lookup, then a placement within the cloud
         # credit that keeps the buffer below its headroom (Eq. 1)
@@ -467,23 +451,14 @@ def run_skyscraper(
 
         k, p = switcher.choose(c, feasible)
         cloud_allow = max(0.0, cloud_allow - usd[k][p])
-
-        # bookkeeping for the forecaster's online features
-        cur_bin[c] += 1.0
-        if (i + 1) % bin_segments == 0:
-            total = cur_bin.sum()
-            label_bins.append(cur_bin / total if total else cur_bin)
-            cur_bin = np.zeros(n_cats)
-            if len(label_bins) > horizon:
-                del label_bins[: len(label_bins) - horizon]
         return k, p
 
-    return simulate(
-        prep,
-        cluster,
-        tables,
-        decide,
-        method="skyscraper",
-        est_labels=est_labels,
-        est_labels_no_typeb=est_labels_nb,
+    res = simulate(prep, cluster, tables, decide, method="skyscraper")
+    # Section 5.6: Eq. 5 on the current segment's quality (no Type-B
+    # timing mismatch), against the full-vector ground truth
+    est_labels_nb = fitted.categories.classify_1d(
+        k_run, qual_obs[k_run, np.arange(n)]
     )
+    res.switch_accuracy = float((est_labels == gt_labels).mean())
+    res.switch_accuracy_no_typeb = float((est_labels_nb == gt_labels).mean())
+    return res

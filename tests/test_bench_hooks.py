@@ -47,6 +47,7 @@ def test_install_sim_counts(covid, covid_fit, cluster8, traces):
         tracer.restore()
     assert tracer.n_calls("sim.ingest.queue_step") == 4 * n
     assert tracer.n_calls("core.switcher.choose") == n
+    assert tracer.n_calls("core.switcher.classify") == n
     assert tracer.n_calls("sim.ingest.prepare") == 4
     assert tracer.n_calls("sim.ingest.build_placement_tables") == 4
 

@@ -88,6 +88,12 @@ class TestFitCategories:
         assert one.shape == (1,)
         assert many.shape == (len(q),)
         assert many[0] == one[0]
+        # one running configuration per quality value
+        ks = np.arange(len(q)) % len(configs)
+        per_seg = cats.classify_1d(ks, q[np.arange(len(q)), ks])
+        scalar = [cats.classify_1d(int(k), float(q[i, k]))[0]
+                  for i, k in enumerate(ks)]
+        np.testing.assert_array_equal(per_seg, scalar)
 
     def test_classify_1d_matches_nearest_center_dim(self, setup):
         _, _, configs, _, q = setup

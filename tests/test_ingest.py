@@ -98,13 +98,11 @@ class TestPlacementTables:
 class TestPrepare:
     def test_shapes(self, covid, covid_fit):
         tr = covid.content(seed=0, n_days=0.02)
-        prep = prepare(covid, covid_fit.configs, tr, seed=0,
-                       categories=covid_fit.categories)
+        prep = prepare(covid, covid_fit.configs, tr, seed=0)
         k, n = len(covid_fit.configs), tr.n_segments
         assert prep.qual_true.shape == (k, n)
         assert prep.qual_obs.shape == (k, n)
         assert prep.qual_best.shape == (n,)
-        assert prep.gt_labels.shape == (n,)
 
     def test_best_quality_is_ceiling(self, covid, covid_fit):
         tr = covid.content(seed=0, n_days=0.02)
@@ -209,3 +207,34 @@ class TestRunSkyscraper:
         )
         assert 0 < r.quality_pct <= 100
         assert not r.overflow
+
+    def test_replans_read_bounded_label_history(
+        self, covid, covid_fit, cluster4, monkeypatch
+    ):
+        """Each replan gets one normalized histogram per complete
+        15-minute label bin so far, at most the last 4 x in_bins."""
+        from repro.sim import ingest
+
+        seen = []
+        make_plan = ingest.make_plan
+
+        def record(fitted, hists, *a, **kw):
+            seen.append(hists)
+            return make_plan(fitted, hists, *a, **kw)
+
+        monkeypatch.setattr(ingest, "make_plan", record)
+        test = covid.content(seed=0, n_days=1.5, start_day=2.0)
+        run_skyscraper(
+            covid, covid_fit, cluster4, test,
+            cloud_budget_usd_per_day=0.0, seed=0, plan_days=0.25,
+        )
+        horizon = 4 * covid_fit.spec.in_bins
+        bins_per_plan = int(round(0.25 * 86400.0 / covid_fit.spec.bin_s))
+        assert seen[0] is covid_fit.train_hists
+        assert [len(h) for h in seen[1:]] == [
+            min(j * bins_per_plan, horizon) for j in range(1, 6)
+        ]
+        assert len(seen[-1]) == horizon
+        for h in seen[1:]:
+            assert h.shape[1] == covid_fit.categories.n
+            np.testing.assert_allclose(h.sum(axis=1), 1.0)

@@ -10,31 +10,8 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.exp.paper_numbers import paper_table2
+from repro.exp.paper_numbers import PAPER_TABLE2_ROWS, paper_table2
 from repro.exp.sweep import run_grid
-
-_ROWS = {
-    "covid": {
-        "static": (4, 8, 16, 32, 60),
-        "chameleon": (4, 8, 16, 32),
-        "skyscraper": (4, 8),
-    },
-    "mot": {
-        "static": (4, 8, 16, 32, 60),
-        "chameleon": (4, 8, 16, 32),
-        "skyscraper": (4, 8),
-    },
-    "mosei-high": {
-        "static": (4, 8, 16, 32, 60),
-        "chameleon": (4, 8, 16, 32, 60),
-        "skyscraper": (4, 8, 16, 32, 60),
-    },
-    "mosei-long": {
-        "static": (4, 8, 16, 32, 60),
-        "chameleon": (4, 8, 16, 32, 60),
-        "skyscraper": (4, 8, 16, 32),
-    },
-}
 
 
 def build_grid(
@@ -51,23 +28,17 @@ def build_grid(
     """
     from repro.workloads import get_workload
 
-    grid = []
-    for workload, methods in _ROWS.items():
-        if workloads and workload not in workloads:
-            continue
-        wl = get_workload(workload)
-        for method, sizes in methods.items():
-            for v in sizes:
-                grid.append(
-                    {
-                        "workload": workload,
-                        "method": method,
-                        "vcpus": v,
-                        "seed": seed,
-                        "test_days": wl.test_days * test_days_scale,
-                    }
-                )
-    return grid
+    return [
+        {
+            "workload": w,
+            "method": m,
+            "vcpus": v,
+            "seed": seed,
+            "test_days": get_workload(w).test_days * test_days_scale,
+        }
+        for w, m, _, v, _, _ in PAPER_TABLE2_ROWS
+        if not workloads or w in workloads
+    ]
 
 
 def run_table2(

@@ -73,22 +73,17 @@ def quality_vectors_numpy(
     idx: np.ndarray,
     *,
     seed: int = 0,
-    noisy: bool = True,
 ) -> np.ndarray:
-    """(n_samples, K) quality matrix, reference implementation."""
+    """(n_samples, K) reported-quality matrix, reference implementation."""
     diff = trace.difficulty[idx]
     gids = trace.global_ids()[idx]
     mult = trace.work_multiplier[idx]
-    sub = trace.take(idx)
-    cols = []
-    for cfg in configs:
-        if noisy:
-            cols.append(
-                wl.observed_quality(cfg, diff, gids, seed=seed, mult=mult)
-            )
-        else:
-            cols.append(wl.quality_curve(cfg, sub))
-    return np.column_stack(cols)
+    return np.column_stack(
+        [
+            wl.observed_quality(cfg, diff, gids, seed=seed, mult=mult)
+            for cfg in configs
+        ]
+    )
 
 
 def quality_vectors_spark(
@@ -99,7 +94,6 @@ def quality_vectors_spark(
     idx: np.ndarray,
     *,
     seed: int = 0,
-    noisy: bool = True,
 ) -> np.ndarray:
     """Same quality matrix, computed as a Spark dataflow.
 
@@ -117,8 +111,6 @@ def quality_vectors_spark(
     )
 
     def eval_configs(batches):
-        from repro.workloads.base import soft_quality as _soft
-
         for b in batches:
             if not len(b):
                 continue
@@ -127,17 +119,9 @@ def quality_vectors_spark(
             mult = b["mult"].to_numpy(dtype=float)
             out = []
             for ci, cfg in enumerate(configs):
-                if noisy:
-                    q = wl.observed_quality(
-                        cfg, diff, gids, seed=seed, mult=mult
-                    )
-                else:
-                    q = wl.mass(diff, mult) * wl.base_quality(cfg) * _soft(
-                        wl.capability(cfg),
-                        diff,
-                        tau=wl.tau,
-                        floor=wl.quality_floor,
-                    )
+                q = wl.observed_quality(
+                    cfg, diff, gids, seed=seed, mult=mult
+                )
                 out.append(
                     pd.DataFrame(
                         {"pos": b["pos"].to_numpy(), "config_id": ci, "qual": q}

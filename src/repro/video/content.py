@@ -171,20 +171,6 @@ class ContentTrace:
             gid0=self.gid0 + start,
         )
 
-    def take(self, idx: np.ndarray) -> "ContentTrace":
-        """Sub-trace of arbitrary segment positions (keeps global ids via
-        gid0 only when contiguous; callers needing noise for scattered
-        samples should use ``global_ids()[idx]`` directly)."""
-        idx = np.asarray(idx)
-        return ContentTrace(
-            params=self.params,
-            seed=self.seed,
-            start_day=self.start_day,
-            difficulty=self.difficulty[idx],
-            work_multiplier=self.work_multiplier[idx],
-            gid0=self.gid0,
-        )
-
 
 def _raw_diurnal(hours: np.ndarray, peaks) -> np.ndarray:
     prof = np.zeros_like(hours, dtype=float)

@@ -243,12 +243,6 @@ class Workload(abc.ABC):
             mult=trace.work_multiplier,
         )
 
-    def work_curve(self, cfg: Config, trace: ContentTrace) -> np.ndarray:
-        """core-seconds of work per segment (multiplier-scaled)."""
-        return (
-            self.work_per_vs(cfg) * self.seg_len * trace.work_multiplier
-        )
-
     # -- content ------------------------------------------------------------
     @abc.abstractmethod
     def content_params(self) -> ContentParams:

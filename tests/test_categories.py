@@ -54,7 +54,7 @@ class TestQualityVectors:
 
     def test_noiseless_vs_noisy_close(self, setup):
         wl, tr, configs, idx, q = setup
-        q0 = quality_vectors_numpy(wl, tr, configs, idx, seed=0, noisy=False)
+        q0 = np.column_stack([wl.quality_curve(c, tr)[idx] for c in configs])
         assert np.abs(q - q0).mean() < 3 * wl.quality_noise * q0.mean() + 0.2
 
 
@@ -120,16 +120,6 @@ class TestSparkParity:
             spark, wl, tr, configs, idx, seed=0
         )
         np.testing.assert_allclose(q_spark, q, atol=1e-12)
-
-    def test_spark_noiseless(self, spark, setup):
-        wl, tr, configs, idx, _ = setup
-        a = quality_vectors_spark(
-            spark, wl, tr, configs, idx[:50], seed=0, noisy=False
-        )
-        b = quality_vectors_numpy(
-            wl, tr, configs, idx[:50], seed=0, noisy=False
-        )
-        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_spark_mosei_with_multiplier(self, spark):
         wl = get_workload("mosei-high")

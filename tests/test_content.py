@@ -157,12 +157,6 @@ class TestContentTrace:
             sub.global_ids(), tr.global_ids()[100:200]
         )
 
-    def test_take(self):
-        tr = generate(simple_params(), seed=0, n_days=0.1)
-        idx = np.array([5, 50, 500])
-        sub = tr.take(idx)
-        np.testing.assert_array_equal(sub.difficulty, tr.difficulty[idx])
-
     def test_times_and_duration(self):
         tr = generate(simple_params(), seed=0, n_days=0.25)
         t = tr.times_s()

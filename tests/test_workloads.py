@@ -87,14 +87,6 @@ class TestCostModel:
         d = wl.config_dict(cfg)
         assert tuple(d[k.name] for k in wl.knobs) == cfg
 
-    def test_work_curve_scales_with_multiplier(self, wl):
-        tr = wl.content(seed=0, n_days=0.02)
-        cfg = wl.cheapest_config()
-        wc = wl.work_curve(cfg, tr)
-        np.testing.assert_allclose(
-            wc, wl.work_per_vs(cfg) * wl.seg_len * tr.work_multiplier
-        )
-
 
 class TestQualityModel:
     def test_capability_bounds(self, wl):

@@ -53,18 +53,13 @@ def run_one(params: dict) -> dict:
     train_days = float(params.get("train_days", wl.train_days))
     test_days = float(params.get("test_days", wl.test_days))
     n_categories = params.get("n_categories")
-    cloud_budget = float(
-        params.get(
-            "cloud_budget_usd_per_day", CLOUD_BUDGET_PER_VCPU_DAY * vcpus
-        )
-    )
+    cloud_budget = CLOUD_BUDGET_PER_VCPU_DAY * vcpus
 
     cluster = make_cluster(vcpus)
     test = wl.content(seed=seed, n_days=test_days, start_day=train_days)
     # the planning horizon must be learnable from the training window
     # (the paper: 16 train days for a 2-day horizon, a 8:1 ratio)
-    plan_days = float(params.get("plan_days", min(2.0, train_days / 8.0)))
-    in_days = float(params.get("in_days", plan_days))
+    plan_days = in_days = min(2.0, train_days / 8.0)
 
     if method == "skyscraper":
         fitted = cached_fit(
@@ -101,7 +96,6 @@ def run_one(params: dict) -> dict:
                 cluster,
                 test,
                 fitted.configs,
-                budget_core_s=params.get("budget_core_s"),
                 seed=seed,
             )
     else:

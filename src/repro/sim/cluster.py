@@ -44,7 +44,6 @@ class Cluster:
     buffer_bytes: float = 4e9  # 4 GB video buffer (Section 2, Figure 3)
     uplink_bps: float = 25e6 * 8  # 200 Mbit/s commodity uplink
     downlink_bps: float = 50e6 * 8
-    lambda_cores: int = LAMBDA_CORES
     cloud_usd_per_core_s: float = CLOUD_USD_PER_CORE_S
 
     @property

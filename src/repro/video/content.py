@@ -297,20 +297,24 @@ def generate(
     )
 
 
+# MOSEI concurrent-stream model: diurnal range, the 'high' pattern's
+# short spikes and the 'long' pattern's sustained peak
+STREAMS_BASE_LOW = 6.0
+STREAMS_BASE_HIGH = 26.0
+SPIKE_HEIGHT = 62.0
+SPIKE_MINUTES = 6.0
+SPIKES_PER_DAY = 4.0
+LONG_PEAK_HOURS = 9.0
+LONG_PEAK_HEIGHT = 46.0
+
+
 def stream_count_trace(
     *,
     seed: int,
     n_segments: int,
     seg_len: float,
     start_day: float = 0.0,
-    base_low: float = 6.0,
-    base_high: float = 26.0,
     spike: str | None = None,
-    spike_height: float = 62.0,
-    spike_minutes: float = 6.0,
-    spikes_per_day: float = 4.0,
-    long_peak_hours: float = 9.0,
-    long_peak_height: float = 46.0,
 ) -> np.ndarray:
     """Number of concurrently incoming streams over time (MOSEI workloads).
 
@@ -324,7 +328,9 @@ def stream_count_trace(
     t = gid0 * seg_len + np.arange(n_segments) * seg_len
     hours = (t / 3600.0) % 24.0
     prof = diurnal_profile(hours, ((20.0, 4.5, 1.0), (14.0, 3.0, 0.55)))
-    n_streams = base_low + (base_high - base_low) * prof
+    n_streams = STREAMS_BASE_LOW + (
+        STREAMS_BASE_HIGH - STREAMS_BASE_LOW
+    ) * prof
 
     n_days = n_segments * seg_len / SECONDS_PER_DAY
     if spike == "high":
@@ -333,7 +339,7 @@ def stream_count_trace(
         day_hi = int(np.ceil(start_day + n_days + 1e-9))
         for day in range(day_lo, max(day_hi, day_lo + 1)):
             rng = np.random.default_rng((seed, 0x57E0A, day))
-            count = rng.poisson(spikes_per_day)
+            count = rng.poisson(SPIKES_PER_DAY)
             starts = day * SECONDS_PER_DAY + rng.uniform(
                 0.0, SECONDS_PER_DAY, count
             )
@@ -342,11 +348,11 @@ def stream_count_trace(
                 b = int(
                     min(
                         n_segments,
-                        np.ceil((s + spike_minutes * 60.0 - t[0]) / seg_len),
+                        np.ceil((s + SPIKE_MINUTES * 60.0 - t[0]) / seg_len),
                     )
                 )
                 if b > a:
-                    n_streams[a:b] = spike_height
+                    n_streams[a:b] = SPIKE_HEIGHT
     elif spike == "long":
         # One long sustained peak per 2-day period, starting mid-morning.
         for day0 in np.arange(0.0, start_day + n_days, 2.0):
@@ -355,12 +361,12 @@ def stream_count_trace(
             b = int(
                 min(
                     n_segments,
-                    (s + long_peak_hours * 3600.0 - t[0]) // seg_len,
+                    (s + LONG_PEAK_HOURS * 3600.0 - t[0]) // seg_len,
                 )
             )
             if b > a:
                 n_streams[a:b] = np.maximum(
-                    n_streams[a:b], long_peak_height
+                    n_streams[a:b], LONG_PEAK_HEIGHT
                 )
     elif spike is not None:
         raise ValueError(f"unknown spike pattern: {spike!r}")

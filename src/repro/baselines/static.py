@@ -52,9 +52,7 @@ def best_static_config(
             feasible.append(c)
     if not feasible:
         return wl.cheapest_config()
-    mean_q = {
-        c: float(wl.quality_curve(c, train_trace).mean()) for c in feasible
-    }
+    mean_q = dict(zip(feasible, wl.mean_quality(feasible, train_trace)))
     return max(feasible, key=lambda c: (mean_q[c], -wl.work_per_vs(c)))
 
 

@@ -41,9 +41,7 @@ def run_videostorm(
         wl, configs, cluster, prep.mult_grid, enable_cloud=False
     )
     # content-agnostic quality ranking: mean quality on training data
-    train_q = np.array(
-        [float(wl.quality_curve(c, train_trace).mean()) for c in configs]
-    )
+    train_q = wl.mean_quality(configs, train_trace)
     rank = np.argsort(-train_q).tolist()  # best quality first
 
     def decide(i, g, rt, usd, queue):

@@ -59,15 +59,14 @@ def maxmin_select(vectors: np.ndarray, n_select: int) -> list[int]:
 
 
 def _segment_quality(
-    wl: Workload, cfg: Config, trace: ContentTrace, idx: int
-) -> float:
-    """Mean noiseless quality of ``cfg`` on a short window around ``idx``
-    (hill climbing judges configurations on a video segment, i.e. a few
-    seconds of content, not a single 2 s slice)."""
+    wl: Workload, configs: list[Config], trace: ContentTrace, idx: int
+) -> list[float]:
+    """Mean noiseless quality of each configuration on a short window
+    around ``idx`` (hill climbing judges configurations on a video
+    segment, i.e. a few seconds of content, not a single 2 s slice)."""
     lo = max(0, idx - HALF_WINDOW)
     hi = min(trace.n_segments, idx + HALF_WINDOW + 1)
-    window = trace.slice(lo, hi)
-    return float(wl.quality_curve(cfg, window).mean())
+    return wl.mean_quality(configs, trace.slice(lo, hi)).tolist()
 
 
 def hill_climb(
@@ -86,34 +85,32 @@ def hill_climb(
     """
     visited: dict[Config, None] = {start: None}
     current = start
-    cur_q = _segment_quality(wl, current, trace, seg_idx)
+    [cur_q] = _segment_quality(wl, [current], trace, seg_idx)
     cur_w = wl.work_per_vs(current)
     for _ in range(MAX_STEPS):
+        cands = [
+            tuple(val if j == ki else current[j] for j in range(len(current)))
+            for ki, knob in enumerate(wl.knobs)
+            for val in knob.domain
+            if val != current[ki]
+        ]
+        # every *evaluated* neighbour joins the Pareto pool — the climb
+        # may step past a cost-quality sweet spot that a later Pareto
+        # filter should still be able to keep
+        visited.update(dict.fromkeys(cands))
         best = None
         best_ratio = 0.0
-        for ki, knob in enumerate(wl.knobs):
-            for val in knob.domain:
-                if val == current[ki]:
-                    continue
-                cand = tuple(
-                    val if j == ki else current[j] for j in range(len(current))
-                )
-                # every *evaluated* neighbour joins the Pareto pool —
-                # the climb may step past a cost-quality sweet spot that
-                # a later Pareto filter should still be able to keep
-                visited[cand] = None
-                q = _segment_quality(wl, cand, trace, seg_idx)
-                w = wl.work_per_vs(cand)
-                dq, dw = q - cur_q, w - cur_w
-                if dq <= 1e-4:
-                    continue
-                ratio = dq / max(dw, 1e-9)
-                if ratio > best_ratio:
-                    best, best_ratio = (cand, q, w), ratio
+        for cand, q in zip(cands, _segment_quality(wl, cands, trace, seg_idx)):
+            w = wl.work_per_vs(cand)
+            dq, dw = q - cur_q, w - cur_w
+            if dq <= 1e-4:
+                continue
+            ratio = dq / max(dw, 1e-9)
+            if ratio > best_ratio:
+                best, best_ratio = (cand, q, w), ratio
         if best is None:
             break
         current, cur_q, cur_w = best
-        visited[current] = None
     return list(visited)
 
 
@@ -132,10 +129,10 @@ def filter_knob_configs(
     pre_idx = np.sort(
         rng.choice(trace.n_segments, size=n_pre, replace=False)
     )
-    q_pre = np.column_stack(
+    q_pre = np.array(
         [
-            [_segment_quality(wl, k, trace, int(i)) for i in pre_idx]
-            for k in (k_minus, k_plus)
+            _segment_quality(wl, [k_minus, k_plus], trace, int(i))
+            for i in pre_idx
         ]
     )
     search_idx = [int(pre_idx[j]) for j in maxmin_select(q_pre, N_SEARCH)]
@@ -144,9 +141,7 @@ def filter_knob_configs(
     for si in search_idx:
         visited = hill_climb(wl, trace, si, start=k_minus)
         cost = np.array([wl.work_per_vs(c) for c in visited])
-        qual = np.array(
-            [_segment_quality(wl, c, trace, si) for c in visited]
-        )
+        qual = np.array(_segment_quality(wl, visited, trace, si))
         for j in pareto_front(cost, qual):
             union[visited[j]] = None
 
@@ -155,14 +150,10 @@ def filter_knob_configs(
         # Keep the global Pareto frontier on (work, mean pre-sample
         # quality), always retaining the extremes k- and k+.
         cost = np.array([wl.work_per_vs(c) for c in configs])
-        qual = np.array(
-            [
-                np.mean(
-                    [_segment_quality(wl, c, trace, int(i)) for i in search_idx]
-                )
-                for c in configs
-            ]
-        )
+        per_segment = [
+            _segment_quality(wl, configs, trace, i) for i in search_idx
+        ]
+        qual = np.array([np.mean(q) for q in zip(*per_segment)])
         keep = set(pareto_front(cost, qual)) | {0, len(configs) - 1}
         configs = [c for j, c in enumerate(configs) if j in keep]
         if len(configs) > MAX_CONFIGS:

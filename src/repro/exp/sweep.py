@@ -21,7 +21,8 @@ def run_grid_local(grid: list[dict]) -> pd.DataFrame:
 
 
 def run_grid_spark(spark: SparkSession, grid: list[dict]) -> pd.DataFrame:
-    """Run every grid cell as its own Spark task; returns all rows."""
+    """Run every grid cell as its own Spark task; returns all rows, in
+    grid order."""
     if not grid:
         return pd.DataFrame()
     pdf = pd.DataFrame(
@@ -39,9 +40,10 @@ def run_grid_spark(spark: SparkSession, grid: list[dict]) -> pd.DataFrame:
                 json.dumps(run_one(json.loads(s)), default=float)
                 for s in b["params"]
             ]
-            yield pd.DataFrame({"result": results})
+            yield pd.DataFrame({"i": b["i"].to_numpy(), "result": results})
 
-    rows = df.mapInPandas(work, schema="result string").collect()
+    rows = df.mapInPandas(work, schema="i long, result string").collect()
+    rows.sort(key=lambda r: r.i)
     return pd.DataFrame([json.loads(r.result) for r in rows])
 
 

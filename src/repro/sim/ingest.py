@@ -208,7 +208,7 @@ class Prepared:
 def prepare(
     wl: Workload, configs: list[Config], trace: ContentTrace, *, seed: int
 ) -> Prepared:
-    qual_true = np.stack([wl.quality_curve(c, trace) for c in configs])
+    qual_true = wl.quality_curves(configs, trace)
     qual_obs = np.stack(
         [wl.observed_quality_curve(c, trace, seed=seed) for c in configs]
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 import abc
 import itertools
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,9 +112,17 @@ def soft_quality(
     a failing dimension from zeroing quality entirely (a detector that
     cannot handle occlusions still detects the unoccluded people).
     """
-    z = (cap[None, :] - difficulty) / tau
+    return _factor(cap[None, :], difficulty, tau, floor).prod(axis=1)
+
+
+def _factor(
+    cap: np.ndarray | float, difficulty: np.ndarray, tau: float, floor: float
+) -> np.ndarray:
+    """Floored sigmoid of (capability - difficulty) / tau, elementwise:
+    one dimension's factor of :func:`soft_quality`."""
+    z = (cap - difficulty) / tau
     s = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
-    return (floor + (1.0 - floor) * s).prod(axis=1)
+    return floor + (1.0 - floor) * s
 
 
 class Workload(abc.ABC):
@@ -182,21 +191,63 @@ class Workload(abc.ABC):
         d0 = np.atleast_2d(difficulty)[:, 0]
         return 0.15 + 2.6 * d0**1.7
 
-    def accuracy_curve(self, cfg: Config, trace: ContentTrace) -> np.ndarray:
-        """Noiseless per-segment accuracy in [0, 1] (mass-free)."""
-        q = soft_quality(
-            self.capability(cfg),
-            trace.difficulty,
-            tau=self.tau,
-            floor=self.quality_floor,
-        )
-        return self.base_quality(cfg) * q
+    def quality_rows(
+        self, configs: list[Config], trace: ContentTrace
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(i, row)`` for every configuration, ``row`` being the
+        noiseless per-segment quality (ground truth) of ``configs[i]``:
+        mass x base quality x :func:`soft_quality`.
+
+        Capabilities take few distinct values per dimension, so the
+        configurations are visited in lexicographic capability order
+        while the running products of the factor columns are kept; a
+        capability that differs from the previous one first at dimension
+        j recomputes only the products from j on.  The factors multiply
+        left to right as in ``soft_quality``'s ``prod``, so every row is
+        bit-identical to the per-configuration formula.  Memory is
+        O(D) columns whatever the number of configurations.
+        """
+        difficulty = trace.difficulty
+        mass = self.mass(difficulty, trace.work_multiplier)
+        caps = [tuple(self.capability(c)) for c in configs]
+        prev: tuple = ()
+        prefix: list[np.ndarray] = []  # prefix[d] = factor_0 * ... * factor_d
+        for i in sorted(range(len(configs)), key=caps.__getitem__):
+            cap = caps[i]
+            j = next(
+                (d for d, (a, b) in enumerate(zip(cap, prev)) if a != b),
+                len(prev),
+            )
+            del prefix[j:]
+            for d in range(j, len(cap)):
+                f = _factor(
+                    cap[d], difficulty[:, d], self.tau, self.quality_floor
+                )
+                prefix.append(prefix[-1] * f if prefix else f)
+            prev = cap
+            yield i, mass * (self.base_quality(configs[i]) * prefix[-1])
+
+    def quality_curves(
+        self, configs: list[Config], trace: ContentTrace
+    ) -> np.ndarray:
+        """(K, n) noiseless quality, row i for ``configs[i]``."""
+        out = np.empty((len(configs), trace.n_segments))
+        for i, row in self.quality_rows(configs, trace):
+            out[i] = row
+        return out
+
+    def mean_quality(
+        self, configs: list[Config], trace: ContentTrace
+    ) -> np.ndarray:
+        """(K,) mean noiseless quality over the trace, per configuration."""
+        out = np.empty(len(configs))
+        for i, row in self.quality_rows(configs, trace):
+            out[i] = row.mean()
+        return out
 
     def quality_curve(self, cfg: Config, trace: ContentTrace) -> np.ndarray:
-        """Noiseless per-segment quality (ground truth): mass x accuracy."""
-        return self.mass(
-            trace.difficulty, trace.work_multiplier
-        ) * self.accuracy_curve(cfg, trace)
+        """Noiseless per-segment quality (ground truth) of one config."""
+        return self.quality_curves([cfg], trace)[0]
 
     def noise_key(self, cfg: Config, seed: int) -> int:
         """Stable per-(seed, config) noise key.  zlib.crc32 instead of

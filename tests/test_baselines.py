@@ -8,8 +8,11 @@ from repro.baselines.chameleon import run_chameleon
 from repro.baselines.optimum import optimum_choices, run_optimum
 from repro.baselines.static import best_static_config, run_static
 from repro.baselines.videostorm import run_videostorm
+from repro.exp.paper_numbers import PAPER_TABLE2_ROWS
 from repro.sim.cluster import make_cluster
+from repro.sim.dagsim import simulate_placement
 from repro.sim.ingest import prepare, run_skyscraper
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +69,38 @@ class TestStatic:
             for v in (4, 60)
         ]
         assert qs[1] > qs[0]
+
+    @pytest.mark.parametrize(
+        "workload, vcpus",
+        [(w, v) for w, m, _, v, _, _ in PAPER_TABLE2_ROWS if m == "static"],
+    )
+    def test_matches_per_config_ranking(self, workload, vcpus):
+        """The Table-2 Static choice equals ranking every feasible
+        configuration by its own quality curve, one at a time."""
+        wl = get_workload(workload)
+        cluster = make_cluster(vcpus)
+        train = wl.content(seed=0, n_days=1.0)
+
+        peak_mult = float(np.quantile(train.work_multiplier, 0.999))
+        feasible = []
+        for c in wl.all_configs():
+            if wl.work_per_vs(c) * peak_mult > cluster.n_cores:
+                continue
+            g = wl.task_graph(c)
+            runtime = simulate_placement(
+                g, (False,) * len(g.nodes), cluster, mult=peak_mult
+            ).runtime_s
+            if runtime <= wl.seg_len:
+                feasible.append(c)
+        if feasible:
+            mean_q = {
+                c: float(wl.quality_curve(c, train).mean()) for c in feasible
+            }
+            want = max(feasible, key=lambda c: (mean_q[c], -wl.work_per_vs(c)))
+        else:
+            want = wl.cheapest_config()
+
+        assert best_static_config(wl, cluster, train) == want
 
 
 class TestChameleon:

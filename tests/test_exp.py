@@ -55,16 +55,17 @@ class TestSweep:
         assert set(df.vcpus) == {4, 8}
 
     def test_spark_matches_local(self, spark):
+        """Both return one row per cell, in grid order."""
         grid = [
             {"workload": "covid", "method": "static", "vcpus": v, **TINY}
-            for v in (4, 8)
+            for v in (4, 8, 16, 32)
         ]
-        local = run_grid_local(grid).sort_values("vcpus").reset_index(drop=True)
-        dist = (
-            run_grid_spark(spark, grid)
-            .sort_values("vcpus")
-            .reset_index(drop=True)
-        )
+        local = run_grid_local(grid)
+        dist = run_grid_spark(spark, grid)
+        key = ["workload", "method", "vcpus"]
+        want = [(g["workload"], g["method"], g["vcpus"]) for g in grid]
+        assert list(local[key].itertuples(index=False, name=None)) == want
+        assert list(dist[key].itertuples(index=False, name=None)) == want
         pd.testing.assert_series_equal(
             local["quality_pct"], dist["quality_pct"], rtol=1e-9
         )

@@ -1,8 +1,12 @@
 """Tests for the workload models (knobs, cost, quality, task graphs)."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workloads import ALL_WORKLOADS, get_workload
 from repro.workloads.base import soft_quality
@@ -11,6 +15,13 @@ from repro.workloads.base import soft_quality
 @pytest.fixture(params=ALL_WORKLOADS, scope="module")
 def wl(request):
     return get_workload(request.param)
+
+
+def accuracy(wl, cfg, tr):
+    """Noiseless mass-free accuracy of one configuration, in [0, 1]."""
+    return wl.base_quality(cfg) * soft_quality(
+        wl.capability(cfg), tr.difficulty, tau=wl.tau, floor=wl.quality_floor
+    )
 
 
 class TestRegistry:
@@ -109,13 +120,13 @@ class TestQualityModel:
     def test_accuracy_in_unit_interval(self, wl):
         tr = wl.content(seed=0, n_days=0.02)
         for cfg in (wl.cheapest_config(), wl.best_config()):
-            acc = wl.accuracy_curve(cfg, tr)
+            acc = accuracy(wl, cfg, tr)
             assert (acc >= 0).all() and (acc <= 1).all()
 
     def test_best_config_dominates_cheapest(self, wl):
         tr = wl.content(seed=0, n_days=0.1)
-        q_best = wl.accuracy_curve(wl.best_config(), tr).mean()
-        q_cheap = wl.accuracy_curve(wl.cheapest_config(), tr).mean()
+        q_best = accuracy(wl, wl.best_config(), tr).mean()
+        q_cheap = accuracy(wl, wl.cheapest_config(), tr).mean()
         assert q_best > q_cheap
 
     def test_quality_includes_mass(self, wl):
@@ -123,8 +134,7 @@ class TestQualityModel:
         cfg = wl.best_config()
         np.testing.assert_allclose(
             wl.quality_curve(cfg, tr),
-            wl.mass(tr.difficulty, tr.work_multiplier)
-            * wl.accuracy_curve(cfg, tr),
+            wl.mass(tr.difficulty, tr.work_multiplier) * accuracy(wl, cfg, tr),
         )
 
     def test_observed_quality_noise_determinism(self, wl):
@@ -149,6 +159,58 @@ class TestQualityModel:
         cfgs = wl.all_configs()
         keys = {wl.noise_key(c, 0) for c in cfgs}
         assert len(keys) == len(cfgs)
+
+
+class TestQualityKernel:
+    """``quality_rows`` shares factor columns between configurations; its
+    rows must still equal the per-configuration formula bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(ALL_WORKLOADS),
+        seed=st.integers(0, 2**16),
+        start_day=st.floats(0.0, 16.0),
+        data=st.data(),
+    )
+    def test_rows_equal_per_config_formula(self, name, seed, start_day, data):
+        wl = get_workload(name)
+        every = wl.all_configs()
+        picked = data.draw(
+            st.lists(
+                st.integers(0, len(every) - 1),
+                min_size=1,
+                max_size=60,
+                unique=True,
+            )
+        )
+        configs = [every[k] for k in picked]
+        tr = wl.content(seed=seed, n_days=0.005, start_day=start_day)
+        mass = wl.mass(tr.difficulty, tr.work_multiplier)
+        ref = np.stack([mass * accuracy(wl, c, tr) for c in configs])
+
+        got = wl.quality_curves(configs, tr)
+        assert np.array_equal(got, ref)
+        means = wl.mean_quality(configs, tr)
+        assert all(means[i] == ref[i].mean() for i in range(len(configs)))
+        perm = data.draw(st.permutations(range(len(configs))))
+        assert np.array_equal(
+            wl.quality_curves([configs[p] for p in perm], tr), got[perm]
+        )
+
+    @pytest.mark.parametrize("name", ["covid", "mot", "mosei-high"])
+    def test_memory_is_a_few_columns(self, name):
+        """Ranking every configuration holds O(D) columns at a time: no
+        (K, n) matrix and no cache of every factor column."""
+        wl = get_workload(name)
+        tr = wl.content(seed=0, n_days=2.0)
+        configs = wl.all_configs()
+        tracemalloc.start()
+        try:
+            wl.mean_quality(configs, tr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * tr.n_segments * 8
 
 
 class TestMass:

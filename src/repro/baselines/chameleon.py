@@ -31,7 +31,7 @@ from repro.sim.ingest import (
     simulate,
 )
 from repro.video.content import ContentTrace
-from repro.workloads.base import Config, Workload
+from repro.workloads.base import Workload
 
 PROFILE_EVERY_S = 600.0  # profiling period
 PROFILE_SEGMENTS = 1  # recent segments each profiling pass re-runs
@@ -45,11 +45,9 @@ def run_chameleon(
     train_trace: ContentTrace,
     *,
     seed: int = 0,
-    configs: list[Config] | None = None,
 ) -> RunResult:
     """Simulate Chameleon* ingestion."""
-    if configs is None:
-        configs = filter_knob_configs(wl, train_trace, seed=seed)
+    configs = filter_knob_configs(wl, train_trace, seed=seed)
     prep = prepare(wl, configs, trace, seed=seed)
     tables = build_placement_tables(
         wl, configs, cluster, prep.mult_grid, enable_cloud=False

@@ -21,7 +21,7 @@ from repro.sim.ingest import (
     simulate,
 )
 from repro.video.content import ContentTrace
-from repro.workloads.base import Config, Workload
+from repro.workloads.base import Workload
 
 
 def run_videostorm(
@@ -31,11 +31,9 @@ def run_videostorm(
     train_trace: ContentTrace,
     *,
     seed: int = 0,
-    configs: list[Config] | None = None,
 ) -> RunResult:
     """Content-agnostic greedy quality maximization under the buffer."""
-    if configs is None:
-        configs = filter_knob_configs(wl, train_trace, seed=seed)
+    configs = filter_knob_configs(wl, train_trace, seed=seed)
     prep = prepare(wl, configs, trace, seed=seed)
     tables = build_placement_tables(
         wl, configs, cluster, prep.mult_grid, enable_cloud=False

@@ -29,7 +29,6 @@ class Categories:
     """Fitted content categories over a filtered configuration set."""
 
     centers: np.ndarray  # (C, K) — sorted by ascending mean quality
-    configs: tuple[Config, ...]
 
     @property
     def n(self) -> int:
@@ -75,15 +74,15 @@ def quality_vectors_numpy(
     seed: int = 0,
 ) -> np.ndarray:
     """(n_samples, K) reported-quality matrix, reference implementation."""
-    diff = trace.difficulty[idx]
-    gids = trace.global_ids()[idx]
-    mult = trace.work_multiplier[idx]
-    return np.column_stack(
-        [
-            wl.observed_quality(cfg, diff, gids, seed=seed, mult=mult)
-            for cfg in configs
-        ]
+    q = wl.observed_quality(
+        configs,
+        trace.difficulty[idx],
+        trace.global_ids()[idx],
+        seed=seed,
+        mult=trace.work_multiplier[idx],
     )
+    # row-major: numpy's summation order, hence KMeans, follows the layout
+    return np.ascontiguousarray(q.T)
 
 
 def quality_vectors_spark(
@@ -114,20 +113,20 @@ def quality_vectors_spark(
         for b in batches:
             if not len(b):
                 continue
-            diff = b[dims].to_numpy(dtype=float)
-            gids = b["gid"].to_numpy()
-            mult = b["mult"].to_numpy(dtype=float)
-            out = []
-            for ci, cfg in enumerate(configs):
-                q = wl.observed_quality(
-                    cfg, diff, gids, seed=seed, mult=mult
-                )
-                out.append(
-                    pd.DataFrame(
-                        {"pos": b["pos"].to_numpy(), "config_id": ci, "qual": q}
-                    )
-                )
-            yield pd.concat(out, ignore_index=True)
+            q = wl.observed_quality(
+                configs,
+                b[dims].to_numpy(dtype=float),
+                b["gid"].to_numpy(),
+                seed=seed,
+                mult=b["mult"].to_numpy(dtype=float),
+            )
+            yield pd.DataFrame(
+                {
+                    "pos": np.tile(b["pos"].to_numpy(), len(configs)),
+                    "config_id": np.repeat(np.arange(len(configs)), len(b)),
+                    "qual": q.ravel(),
+                }
+            )
 
     long_df = seg_df.mapInPandas(
         eval_configs, schema="pos long, config_id int, qual double"
@@ -141,14 +140,10 @@ def quality_vectors_spark(
 
 
 def fit_categories(
-    quality_vectors: np.ndarray,
-    configs: list[Config],
-    n_categories: int,
-    *,
-    seed: int = 0,
+    quality_vectors: np.ndarray, n_categories: int, *, seed: int = 0
 ) -> Categories:
     """KMeans on the quality vectors; centers sorted by ascending mean
     quality so category 0 is always the hardest content."""
     res = kmeans(quality_vectors, n_categories, seed=seed)
     order = np.argsort(res.centers.mean(axis=1))
-    return Categories(centers=res.centers[order], configs=tuple(configs))
+    return Categories(centers=res.centers[order])

@@ -123,7 +123,7 @@ def fit_skyscraper(
         )
     else:
         q_vecs = quality_vectors_numpy(wl, trace, configs, idx, seed=seed)
-    categories = fit_categories(q_vecs, configs, n_categories, seed=seed)
+    categories = fit_categories(q_vecs, n_categories, seed=seed)
     timings["compute_content_categories"] = time.perf_counter() - t0
 
     # ranking of configurations by expected quality (for the switcher's
@@ -154,10 +154,8 @@ def fit_skyscraper(
         in_days=in_days,
         out_days=plan_days,
     )
-    obs_klabel = wl.observed_quality_curve(
-        configs[k_label_idx], trace, seed=seed
-    )
-    labels = categories.classify_1d(k_label_idx, obs_klabel)
+    obs_klabel = wl.observed_curves([configs[k_label_idx]], trace, seed=seed)
+    labels = categories.classify_1d(k_label_idx, obs_klabel[0])
     if spark is not None:
         train_hists = histogram_series_spark(
             spark,

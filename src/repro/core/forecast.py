@@ -119,7 +119,7 @@ def featurize_window(spec: ForecastSpec, past: np.ndarray) -> np.ndarray:
 
 
 def build_training_pairs(
-    hists: np.ndarray, spec: ForecastSpec, *, stride_bins: int = 1
+    hists: np.ndarray, spec: ForecastSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sliding (input, label) pairs over a histogram series.
 
@@ -128,7 +128,7 @@ def build_training_pairs(
     """
     n = len(hists)
     xs, ys = [], []
-    for t in range(spec.in_bins, n - spec.out_bins + 1, stride_bins):
+    for t in range(spec.in_bins, n - spec.out_bins + 1):
         xs.append(featurize_window(spec, hists[:t]))
         ys.append(hists[t : t + spec.out_bins].mean(axis=0))
     if not xs:
@@ -146,7 +146,7 @@ def train_forecaster(
     model = MLP(
         in_dim=spec.in_dim, hidden=(16, 8), out_dim=spec.n_categories, seed=seed
     )
-    model.fit(x, y, epochs=40, val_split=0.2, seed=seed)
+    model.fit(x, y, epochs=40, seed=seed)
     return model
 
 

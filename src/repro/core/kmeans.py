@@ -3,7 +3,7 @@
 The paper clusters |K|-dimensional quality vectors into content
 categories (Section 3.2).  scikit-learn is not available in this
 environment, so we implement KMeans in numpy: seeded k-means++
-initialization, Lloyd iterations to convergence, ``n_init`` restarts
+initialization, Lloyd iterations to convergence, ``N_INIT`` restarts
 keeping the lowest inertia.  Deterministic in ``seed``.
 """
 from __future__ import annotations
@@ -11,6 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+N_INIT = 8  # k-means++ restarts
+MAX_ITER = 200  # Lloyd iterations per restart
+TOL = 1e-7  # convergence: largest center shift
 
 
 @dataclass(frozen=True)
@@ -36,12 +40,10 @@ def _pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return centers
 
 
-def _lloyd(
-    x: np.ndarray, centers: np.ndarray, max_iter: int, tol: float
-) -> KMeansResult:
+def _lloyd(x: np.ndarray, centers: np.ndarray) -> KMeansResult:
     k = len(centers)
     labels = np.zeros(len(x), dtype=int)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
         new_centers = centers.copy()
@@ -53,7 +55,7 @@ def _lloyd(
             # after other centers move)
         shift = np.abs(new_centers - centers).max()
         centers = new_centers
-        if shift < tol:
+        if shift < TOL:
             break
     d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = d2.argmin(axis=1)
@@ -61,16 +63,8 @@ def _lloyd(
     return KMeansResult(centers=centers, labels=labels, inertia=inertia)
 
 
-def kmeans(
-    x: np.ndarray,
-    k: int,
-    *,
-    seed: int = 0,
-    n_init: int = 8,
-    max_iter: int = 200,
-    tol: float = 1e-7,
-) -> KMeansResult:
-    """Cluster rows of ``x`` into ``k`` clusters; best of ``n_init`` runs."""
+def kmeans(x: np.ndarray, k: int, *, seed: int = 0) -> KMeansResult:
+    """Cluster rows of ``x`` into ``k`` clusters; best of ``N_INIT`` runs."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("x must be 2-D (n_samples, n_features)")
@@ -78,8 +72,8 @@ def kmeans(
         raise ValueError(f"need 1 <= k={k} <= n_samples={len(x)}")
     rng = np.random.default_rng(seed)
     best: KMeansResult | None = None
-    for _ in range(n_init):
-        res = _lloyd(x, _pp_init(x, k, rng), max_iter, tol)
+    for _ in range(N_INIT):
+        res = _lloyd(x, _pp_init(x, k, rng))
         if best is None or res.inertia < best.inertia:
             best = res
     return best

@@ -16,6 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BATCH_SIZE = 32
+LEARNING_RATE = 1e-3  # Adam step size
+VAL_SPLIT = 0.2  # Appendix K's validation share
+
 
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
@@ -90,9 +94,6 @@ class MLP:
         y: np.ndarray,
         *,
         epochs: int = 40,
-        batch_size: int = 32,
-        lr: float = 1e-3,
-        val_split: float = 0.2,
         seed: int = 0,
     ) -> dict:
         """Adam training; keeps the best-validation-loss weights.
@@ -103,7 +104,7 @@ class MLP:
         y = np.asarray(y, dtype=float)
         rng = np.random.default_rng(seed)
         idx = rng.permutation(len(x))
-        n_val = max(1, int(len(x) * val_split)) if len(x) > 1 else 0
+        n_val = max(1, int(len(x) * VAL_SPLIT)) if len(x) > 1 else 0
         val_idx, train_idx = idx[:n_val], idx[n_val:]
         if len(train_idx) == 0:
             train_idx = idx
@@ -119,8 +120,8 @@ class MLP:
         history = {"train": [], "val": []}
         for _ in range(epochs):
             order = rng.permutation(len(xt))
-            for start in range(0, len(xt), batch_size):
-                batch = order[start : start + batch_size]
+            for start in range(0, len(xt), BATCH_SIZE):
+                batch = order[start : start + BATCH_SIZE]
                 gw, gb = self._gradients(xt[batch], yt[batch])
                 grads = gw + gb
                 params = self.weights + self.biases
@@ -130,7 +131,7 @@ class MLP:
                     v[i] = beta2 * v[i] + (1 - beta2) * g * g
                     mh = m[i] / (1 - beta1**t)
                     vh = v[i] / (1 - beta2**t)
-                    p -= lr * mh / (np.sqrt(vh) + eps)
+                    p -= LEARNING_RATE * mh / (np.sqrt(vh) + eps)
             history["train"].append(self.loss(xt, yt))
             val_loss = self.loss(xv, yv) if len(xv) else history["train"][-1]
             history["val"].append(val_loss)

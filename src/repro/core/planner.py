@@ -59,23 +59,22 @@ def compute_budget_per_vs(
     *,
     interval_s: float,
     cloud_budget_usd: float,
-    utilization: float = ONPREM_UTILIZATION,
 ) -> float:
     """Total compute budget in core-seconds per second of video.
 
-    On-premise capacity contributes ``utilization * n_cores``; the
-    cloud-credit budget for the interval is converted to core-seconds at
-    the cloud price (paper footnote 4) and spread over the interval.
+    On-premise capacity contributes ``ONPREM_UTILIZATION * n_cores``;
+    the cloud-credit budget for the interval is converted to core-seconds
+    at the cloud price (paper footnote 4) and spread over the interval.
 
-    ``utilization`` < 1 reserves drain slack: a plan that binds at the
-    full core count keeps the buffer permanently pinned at its limit
+    ``ONPREM_UTILIZATION`` < 1 reserves drain slack: a plan that binds at
+    the full core count keeps the buffer permanently pinned at its limit
     (expensive placements get refused and the plan is never realized),
     whereas a slightly leaner plan lets the buffer drain overnight —
     the behaviour the paper shows in Figure 3 — and tracks its expected
     quality much more closely over multi-day runs.
     """
     cloud_core_s = cloud_budget_usd / cluster.cloud_usd_per_core_s
-    return cluster.n_cores * utilization + cloud_core_s / interval_s
+    return cluster.n_cores * ONPREM_UTILIZATION + cloud_core_s / interval_s
 
 
 def make_plan(

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.video.content import hash_normal
 from repro.workloads.base import Config, Workload
 
 DETECTION_SCHEMA = (
@@ -50,7 +49,7 @@ def detect_segments(
     diff = pdf[dims].to_numpy(dtype=float)
     gids = pdf["segment_id"].to_numpy()
     mult = pdf["mult"].to_numpy(dtype=float)
-    acc = wl.observed_quality(cfg, diff, gids, seed=seed, mult=mult)
+    acc = wl.observed_quality([cfg], diff, gids, seed=seed, mult=mult)[0]
     acc = acc / np.maximum(wl.mass(diff, mult), 1e-9)  # back to [0, 1]
     n_present = objects_present(wl, diff, mult)
 
@@ -88,10 +87,10 @@ def reported_quality(
     reported segment quality) — the signal the knob switcher consumes."""
     dims = list(wl.dims)
     q = wl.observed_quality(
-        cfg,
+        [cfg],
         pdf[dims].to_numpy(dtype=float),
         pdf["segment_id"].to_numpy(),
         seed=seed,
         mult=pdf["mult"].to_numpy(dtype=float),
-    )
+    )[0]
     return float(q.mean())

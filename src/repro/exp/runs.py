@@ -14,6 +14,7 @@ from repro.baselines.optimum import run_optimum
 from repro.baselines.static import run_static
 from repro.baselines.videostorm import run_videostorm
 from repro.core.fit import Fitted, fit_skyscraper
+from repro.core.offline import filter_knob_configs
 from repro.sim.cluster import make_cluster
 from repro.sim.ingest import RunResult, run_skyscraper
 from repro.workloads import get_workload
@@ -29,8 +30,8 @@ def cached_fit(
     seed: int,
     train_days: float,
     n_categories: int | None,
-    plan_days: float = 2.0,
-    in_days: float = 2.0,
+    plan_days: float,
+    in_days: float,
 ) -> Fitted:
     wl = get_workload(workload)
     return fit_skyscraper(
@@ -88,16 +89,10 @@ def run_one(params: dict) -> dict:
         elif method == "videostorm":
             res = run_videostorm(wl, cluster, test, train, seed=seed)
         else:
-            fitted = cached_fit(
-                workload, seed, train_days, n_categories, plan_days, in_days
-            )
-            res = run_optimum(
-                wl,
-                cluster,
-                test,
-                fitted.configs,
-                seed=seed,
-            )
+            # fit step 1 alone: same trace and seed as the fit's, so the
+            # same configurations as ``Fitted.configs``
+            configs = filter_knob_configs(wl, train, seed=seed)
+            res = run_optimum(wl, cluster, test, configs, seed=seed)
     else:
         raise ValueError(f"unknown method {method!r}")
 

@@ -34,10 +34,10 @@ SPLITS = (1, 2, 4, 8)
 def _label_series(wl, fitted, *, seed, train_days, test_days):
     """Category labels over train+test, via the discriminator config."""
     full = wl.content(seed=seed, n_days=train_days + test_days)
-    obs = wl.observed_quality_curve(
-        fitted.configs[fitted.k_label_idx], full, seed=seed
+    obs = wl.observed_curves(
+        [fitted.configs[fitted.k_label_idx]], full, seed=seed
     )
-    return fitted.categories.classify_1d(fitted.k_label_idx, obs)
+    return fitted.categories.classify_1d(fitted.k_label_idx, obs[0])
 
 
 def _train_test_mae(

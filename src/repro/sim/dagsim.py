@@ -37,10 +37,7 @@ from repro.workloads.base import TaskGraph
 @dataclass(frozen=True)
 class DagSimResult:
     runtime_s: float  # wall-clock to finish the whole segment DAG
-    onprem_core_s: float  # busy core-seconds on premises
     cloud_core_s: float  # billed cloud core-seconds
-    up_bytes: float  # bytes shipped to the cloud
-    down_bytes: float
 
 
 def simulate_placement(
@@ -69,9 +66,6 @@ def simulate_placement(
     cloud_busy = 0.0
     uplink_free = 0.0
     cloud_core_s = 0.0
-    onprem_core_s = 0.0
-    up_total = 0.0
-    down_total = 0.0
 
     scheduled = [False] * n
     for _ in range(n):
@@ -108,7 +102,6 @@ def simulate_placement(
                     heapq.heappush(cores, t)
                 stage_finish = max(new_cores)
             finish[i] = stage_finish
-            onprem_core_s += total_work
         else:
             up_t = nd.up_bytes * mult * 8.0 / cluster.uplink_bps
             dispatchable = max(ready, uplink_free)
@@ -118,15 +111,7 @@ def simulate_placement(
             cloud_busy = max(cloud_busy, dispatchable + up_t) + nd.cloud_s + down_t
             finish[i] = cloud_busy
             cloud_core_s += total_work  # billed by compute performed
-            up_total += nd.up_bytes * mult
-            down_total += nd.down_bytes * mult
         scheduled[i] = True
 
     runtime = max(max(cores), cloud_busy)
-    return DagSimResult(
-        runtime_s=runtime,
-        onprem_core_s=onprem_core_s,
-        cloud_core_s=cloud_core_s,
-        up_bytes=up_total,
-        down_bytes=down_total,
-    )
+    return DagSimResult(runtime_s=runtime, cloud_core_s=cloud_core_s)

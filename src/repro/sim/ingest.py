@@ -209,10 +209,8 @@ def prepare(
     wl: Workload, configs: list[Config], trace: ContentTrace, *, seed: int
 ) -> Prepared:
     qual_true = wl.quality_curves(configs, trace)
-    qual_obs = np.stack(
-        [wl.observed_quality_curve(c, trace, seed=seed) for c in configs]
-    )
-    qual_best = wl.quality_curve(wl.best_config(), trace)
+    qual_obs = wl.observed_curves(configs, trace, seed=seed)
+    qual_best = wl.quality_curves([wl.best_config()], trace)[0]
     seg_bytes = (
         wl.bitrate_bytes_per_s * wl.seg_len * trace.work_multiplier
         if wl.quality_weight_by_multiplier

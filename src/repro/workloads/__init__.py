@@ -5,7 +5,6 @@ from repro.workloads.base import (  # noqa: F401
     TaskGraph,
     TaskNode,
     Workload,
-    soft_quality,
 )
 from repro.workloads.covid import CovidWorkload
 from repro.workloads.mosei import MoseiWorkload

@@ -92,39 +92,6 @@ class TaskGraph:
         return sum(nd.onprem_s for nd in self.nodes)
 
 
-def soft_quality(
-    cap: np.ndarray,
-    difficulty: np.ndarray,
-    *,
-    tau: float = 0.09,
-    floor: float = 0.35,
-) -> np.ndarray:
-    """Per-dimension sigmoid of (capability - difficulty), combined
-    multiplicatively with a floor.
-
-    cap: (D,) capability of the configuration; difficulty: (n, D).
-    Returns (n,) qualities in (0, 1).  tau controls how sharply quality
-    degrades once content difficulty exceeds the configuration's
-    capability; the multiplicative combination means failing on *one*
-    dimension (e.g. occlusions during rush hour) tanks the segment's
-    quality — matching the paper's observation that cheap configurations
-    are "prone to mistakes on difficult inputs" — while ``floor`` keeps
-    a failing dimension from zeroing quality entirely (a detector that
-    cannot handle occlusions still detects the unoccluded people).
-    """
-    return _factor(cap[None, :], difficulty, tau, floor).prod(axis=1)
-
-
-def _factor(
-    cap: np.ndarray | float, difficulty: np.ndarray, tau: float, floor: float
-) -> np.ndarray:
-    """Floored sigmoid of (capability - difficulty) / tau, elementwise:
-    one dimension's factor of :func:`soft_quality`."""
-    z = (cap - difficulty) / tau
-    s = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
-    return floor + (1.0 - floor) * s
-
-
 class Workload(abc.ABC):
     """Abstract V-ETL workload (COVID / MOT / MOSEI variants)."""
 
@@ -191,24 +158,29 @@ class Workload(abc.ABC):
         d0 = np.atleast_2d(difficulty)[:, 0]
         return 0.15 + 2.6 * d0**1.7
 
-    def quality_rows(
-        self, configs: list[Config], trace: ContentTrace
+    def accuracy_rows(
+        self, configs: list[Config], difficulty: np.ndarray
     ) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(i, row)`` for every configuration, ``row`` being the
-        noiseless per-segment quality (ground truth) of ``configs[i]``:
-        mass x base quality x :func:`soft_quality`.
+        noiseless per-segment accuracy in [0, 1] of ``configs[i]`` on the
+        (n, D) ``difficulty`` matrix: base quality x the product over
+        dimensions of the floored sigmoid of (capability - difficulty)
+        / tau.  Failing on *one* dimension (e.g. occlusions during rush
+        hour) tanks the accuracy, as cheap configurations are "prone to
+        mistakes on difficult inputs"; the floor keeps it from zeroing
+        (a detector that cannot handle occlusions still detects the
+        unoccluded people).  Ground truth and reported quality both
+        scale these rows.
 
         Capabilities take few distinct values per dimension, so the
         configurations are visited in lexicographic capability order
         while the running products of the factor columns are kept; a
         capability that differs from the previous one first at dimension
         j recomputes only the products from j on.  The factors multiply
-        left to right as in ``soft_quality``'s ``prod``, so every row is
-        bit-identical to the per-configuration formula.  Memory is
-        O(D) columns whatever the number of configurations.
+        left to right, so every row is bit-identical to the
+        per-configuration product.  Memory is O(D) columns whatever the
+        number of configurations.
         """
-        difficulty = trace.difficulty
-        mass = self.mass(difficulty, trace.work_multiplier)
         caps = [tuple(self.capability(c)) for c in configs]
         prev: tuple = ()
         prefix: list[np.ndarray] = []  # prefix[d] = factor_0 * ... * factor_d
@@ -220,34 +192,41 @@ class Workload(abc.ABC):
             )
             del prefix[j:]
             for d in range(j, len(cap)):
-                f = _factor(
-                    cap[d], difficulty[:, d], self.tau, self.quality_floor
-                )
+                z = (cap[d] - difficulty[:, d]) / self.tau
+                s = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+                f = self.quality_floor + (1.0 - self.quality_floor) * s
                 prefix.append(prefix[-1] * f if prefix else f)
             prev = cap
-            yield i, mass * (self.base_quality(configs[i]) * prefix[-1])
+            yield i, self.base_quality(configs[i]) * prefix[-1]
+
+    def accuracies(
+        self, configs: list[Config], difficulty: np.ndarray
+    ) -> np.ndarray:
+        """(K, n) :meth:`accuracy_rows`, row i for ``configs[i]``; the
+        kernel's columns are released on return."""
+        out = np.empty((len(configs), len(difficulty)))
+        for i, acc in self.accuracy_rows(configs, difficulty):
+            out[i] = acc
+        return out
 
     def quality_curves(
         self, configs: list[Config], trace: ContentTrace
     ) -> np.ndarray:
-        """(K, n) noiseless quality, row i for ``configs[i]``."""
-        out = np.empty((len(configs), trace.n_segments))
-        for i, row in self.quality_rows(configs, trace):
-            out[i] = row
+        """(K, n) noiseless quality (ground truth), row i for
+        ``configs[i]``: mass x accuracy."""
+        out = self.accuracies(configs, trace.difficulty)
+        out *= self.mass(trace.difficulty, trace.work_multiplier)
         return out
 
     def mean_quality(
         self, configs: list[Config], trace: ContentTrace
     ) -> np.ndarray:
         """(K,) mean noiseless quality over the trace, per configuration."""
+        mass = self.mass(trace.difficulty, trace.work_multiplier)
         out = np.empty(len(configs))
-        for i, row in self.quality_rows(configs, trace):
-            out[i] = row.mean()
+        for i, acc in self.accuracy_rows(configs, trace.difficulty):
+            out[i] = (mass * acc).mean()
         return out
-
-    def quality_curve(self, cfg: Config, trace: ContentTrace) -> np.ndarray:
-        """Noiseless per-segment quality (ground truth) of one config."""
-        return self.quality_curves([cfg], trace)[0]
 
     def noise_key(self, cfg: Config, seed: int) -> int:
         """Stable per-(seed, config) noise key.  zlib.crc32 instead of
@@ -257,14 +236,15 @@ class Workload(abc.ABC):
 
     def observed_quality(
         self,
-        cfg: Config,
+        configs: list[Config],
         difficulty: np.ndarray,
         ids: np.ndarray,
         *,
         seed: int,
-        mult: np.ndarray | float = 1.0,
+        mult: np.ndarray | float,
     ) -> np.ndarray:
-        """Reported quality for segments identified by global ids.
+        """(K, n) quality as *reported* by the user code for segments
+        identified by global ids, row i for ``configs[i]``.
 
         Noise is a pure function of (seed, config, segment id) so results
         are identical regardless of slicing or Spark partitioning.  Noise
@@ -272,22 +252,19 @@ class Workload(abc.ABC):
         noisy), then the mass scales it — the object count itself is
         observable.
         """
-        acc = self.base_quality(cfg) * soft_quality(
-            self.capability(cfg),
-            difficulty,
-            tau=self.tau,
-            floor=self.quality_floor,
-        )
-        noise = hash_normal(self.noise_key(cfg, seed), ids)
-        acc = np.clip(acc + self.quality_noise * noise, 0.0, 1.0)
-        return self.mass(difficulty, mult) * acc
+        out = self.accuracies(configs, difficulty)
+        for row, cfg in zip(out, configs):
+            noise = hash_normal(self.noise_key(cfg, seed), ids)
+            np.clip(row + self.quality_noise * noise, 0.0, 1.0, out=row)
+        out *= self.mass(difficulty, mult)
+        return out
 
-    def observed_quality_curve(
-        self, cfg: Config, trace: ContentTrace, *, seed: int
+    def observed_curves(
+        self, configs: list[Config], trace: ContentTrace, *, seed: int
     ) -> np.ndarray:
-        """Quality as *reported* by the user code: truth + noise."""
+        """:meth:`observed_quality` over every segment of ``trace``."""
         return self.observed_quality(
-            cfg,
+            configs,
             trace.difficulty,
             trace.global_ids(),
             seed=seed,
@@ -312,15 +289,13 @@ class Workload(abc.ABC):
         """Per-segment task graph for configuration ``cfg``."""
 
     # -- helpers -------------------------------------------------------------
-    def cheapest_config(self, configs=None) -> Config:
-        configs = list(configs) if configs is not None else self.all_configs()
-        return min(configs, key=self.work_per_vs)
+    def cheapest_config(self) -> Config:
+        return min(self.all_configs(), key=self.work_per_vs)
 
-    def best_config(self, configs=None) -> Config:
+    def best_config(self) -> Config:
         """Most qualitative configuration (highest capability norm)."""
-        configs = list(configs) if configs is not None else self.all_configs()
         return max(
-            configs,
+            self.all_configs(),
             key=lambda c: (
                 self.base_quality(c) * float(self.capability(c).mean()),
                 -self.work_per_vs(c),

@@ -94,7 +94,8 @@ class TestStatic:
                 feasible.append(c)
         if feasible:
             mean_q = {
-                c: float(wl.quality_curve(c, train).mean()) for c in feasible
+                c: float(wl.quality_curves([c], train)[0].mean())
+                for c in feasible
             }
             want = max(feasible, key=lambda c: (mean_q[c], -wl.work_per_vs(c)))
         else:

@@ -54,27 +54,27 @@ class TestQualityVectors:
 
     def test_noiseless_vs_noisy_close(self, setup):
         wl, tr, configs, idx, q = setup
-        q0 = np.column_stack([wl.quality_curve(c, tr)[idx] for c in configs])
+        q0 = wl.quality_curves(configs, tr)[:, idx].T
         assert np.abs(q - q0).mean() < 3 * wl.quality_noise * q0.mean() + 0.2
 
 
 class TestFitCategories:
     def test_centers_sorted_by_mean_quality(self, setup):
         _, _, configs, _, q = setup
-        cats = fit_categories(q, configs, 3, seed=0)
+        cats = fit_categories(q, 3, seed=0)
         means = cats.centers.mean(axis=1)
         assert (np.diff(means) >= -1e-9).all()
 
     def test_shapes(self, setup):
         _, _, configs, _, q = setup
-        cats = fit_categories(q, configs, 4, seed=0)
+        cats = fit_categories(q, 4, seed=0)
         assert cats.n == 4
         assert cats.n_configs == len(configs)
         assert cats.qual_hat().shape == (len(configs), 4)
 
     def test_classify_full_consistent(self, setup):
         _, _, configs, _, q = setup
-        cats = fit_categories(q, configs, 3, seed=0)
+        cats = fit_categories(q, 3, seed=0)
         labels = cats.classify_full(q)
         # most points should be closest to their assigned center
         d = ((q[:, None, :] - cats.centers[None]) ** 2).sum(axis=2)
@@ -82,7 +82,7 @@ class TestFitCategories:
 
     def test_classify_1d_scalar_and_vector(self, setup):
         _, _, configs, _, q = setup
-        cats = fit_categories(q, configs, 3, seed=0)
+        cats = fit_categories(q, 3, seed=0)
         one = cats.classify_1d(0, float(q[0, 0]))
         many = cats.classify_1d(0, q[:, 0])
         assert one.shape == (1,)
@@ -97,7 +97,7 @@ class TestFitCategories:
 
     def test_classify_1d_matches_nearest_center_dim(self, setup):
         _, _, configs, _, q = setup
-        cats = fit_categories(q, configs, 3, seed=0)
+        cats = fit_categories(q, 3, seed=0)
         k = len(configs) - 1
         labels = cats.classify_1d(k, q[:, k])
         d = np.abs(q[:, k][:, None] - cats.centers[:, k][None])
@@ -106,7 +106,7 @@ class TestFitCategories:
     def test_1d_classification_agrees_with_full_mostly(self, setup):
         """Paper Section 4.2: one discriminating dimension suffices."""
         _, _, configs, _, q = setup
-        cats = fit_categories(q, configs, 3, seed=0)
+        cats = fit_categories(q, 3, seed=0)
         spreads = cats.centers.std(axis=0)
         k = int(spreads.argmax())
         agree = (cats.classify_1d(k, q[:, k]) == cats.classify_full(q)).mean()

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core.categories import Categories
-from repro.core.planner import compute_budget_per_vs, forecast_ratios, make_plan
+from repro.core.planner import (
+    ONPREM_UTILIZATION,
+    compute_budget_per_vs,
+    forecast_ratios,
+    make_plan,
+)
 from repro.core.switcher import KnobSwitcher
 from repro.sim.cluster import make_cluster
 
@@ -56,15 +61,12 @@ class TestFitted:
 class TestPlanner:
     def test_budget_conversion(self):
         cl = make_cluster(8)
-        b0 = compute_budget_per_vs(
-            cl, interval_s=3600.0, cloud_budget_usd=0.0, utilization=1.0
-        )
-        assert b0 == pytest.approx(8.0)
-        b1 = compute_budget_per_vs(
-            cl, interval_s=3600.0, cloud_budget_usd=1.0, utilization=1.0
-        )
-        assert b1 > 8.0
-        extra = (b1 - 8.0) * 3600.0 * cl.cloud_usd_per_core_s
+        onprem = 8 * ONPREM_UTILIZATION
+        b0 = compute_budget_per_vs(cl, interval_s=3600.0, cloud_budget_usd=0.0)
+        assert b0 == pytest.approx(onprem)
+        b1 = compute_budget_per_vs(cl, interval_s=3600.0, cloud_budget_usd=1.0)
+        assert b1 > onprem
+        extra = (b1 - onprem) * 3600.0 * cl.cloud_usd_per_core_s
         assert extra == pytest.approx(1.0)
 
     def test_default_budget_reserves_drain_slack(self):
@@ -131,7 +133,7 @@ class TestPlanner:
 def make_switcher(n_k=3, n_c=2):
     centers = np.array([[0.1 * (k + 1) for k in range(n_k)],
                         [0.3 * (k + 1) for k in range(n_k)]])[:n_c]
-    cats = Categories(centers=np.array(centers), configs=tuple(range(n_k)))
+    cats = Categories(centers=np.array(centers))
     # placement 0 on premises, placement 1 on the cloud (faster)
     runtimes = [[1.0 * (k + 1), 0.5 * (k + 1)] for k in range(n_k)]
     rank = list(range(n_k))[::-1]  # higher index = higher quality

@@ -8,13 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.video.content import hash_normal
 from repro.workloads import ALL_WORKLOADS, get_workload
-from repro.workloads.base import soft_quality
 
 
 @pytest.fixture(params=ALL_WORKLOADS, scope="module")
 def wl(request):
     return get_workload(request.param)
+
+
+def soft_quality(cap, difficulty, *, tau=0.09, floor=0.35):
+    """Reference formula, one configuration at a time: per-dimension
+    floored sigmoid of (capability - difficulty) / tau, multiplied over
+    the dimensions.  cap: (D,); difficulty: (n, D); returns (n,)."""
+    z = (cap[None, :] - difficulty) / tau
+    s = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+    return (floor + (1.0 - floor) * s).prod(axis=1)
 
 
 def accuracy(wl, cfg, tr):
@@ -133,17 +142,17 @@ class TestQualityModel:
         tr = wl.content(seed=0, n_days=0.02)
         cfg = wl.best_config()
         np.testing.assert_allclose(
-            wl.quality_curve(cfg, tr),
+            wl.quality_curves([cfg], tr)[0],
             wl.mass(tr.difficulty, tr.work_multiplier) * accuracy(wl, cfg, tr),
         )
 
     def test_observed_quality_noise_determinism(self, wl):
         tr = wl.content(seed=0, n_days=0.02)
         cfg = wl.best_config()
-        a = wl.observed_quality_curve(cfg, tr, seed=1)
-        b = wl.observed_quality_curve(cfg, tr, seed=1)
+        a = wl.observed_curves([cfg], tr, seed=1)
+        b = wl.observed_curves([cfg], tr, seed=1)
         np.testing.assert_array_equal(a, b)
-        c = wl.observed_quality_curve(cfg, tr, seed=2)
+        c = wl.observed_curves([cfg], tr, seed=2)
         assert not np.allclose(a, c)
 
     def test_observed_quality_slice_invariant(self, wl):
@@ -151,9 +160,9 @@ class TestQualityModel:
         partitioning invariance)."""
         tr = wl.content(seed=0, n_days=0.02)
         cfg = wl.cheapest_config()
-        full = wl.observed_quality_curve(cfg, tr, seed=0)
-        part = wl.observed_quality_curve(cfg, tr.slice(100, 200), seed=0)
-        np.testing.assert_allclose(full[100:200], part)
+        full = wl.observed_curves([cfg], tr, seed=0)
+        part = wl.observed_curves([cfg], tr.slice(100, 200), seed=0)
+        np.testing.assert_allclose(full[:, 100:200], part)
 
     def test_noise_key_differs_per_config(self, wl):
         cfgs = wl.all_configs()
@@ -162,8 +171,9 @@ class TestQualityModel:
 
 
 class TestQualityKernel:
-    """``quality_rows`` shares factor columns between configurations; its
-    rows must still equal the per-configuration formula bit for bit."""
+    """``accuracy_rows`` shares factor columns between configurations;
+    ground truth and reported quality built on it must still equal the
+    per-configuration formulas bit for bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -196,6 +206,25 @@ class TestQualityKernel:
         assert np.array_equal(
             wl.quality_curves([configs[p] for p in perm], tr), got[perm]
         )
+
+        ids = tr.global_ids()
+        reported = np.stack(
+            [
+                mass
+                * np.clip(
+                    accuracy(wl, c, tr)
+                    + wl.quality_noise
+                    * hash_normal(wl.noise_key(c, seed), ids),
+                    0.0,
+                    1.0,
+                )
+                for c in configs
+            ]
+        )
+        got = wl.observed_quality(
+            configs, tr.difficulty, ids, seed=seed, mult=tr.work_multiplier
+        )
+        assert np.array_equal(got, reported)
 
     @pytest.mark.parametrize("name", ["covid", "mot", "mosei-high"])
     def test_memory_is_a_few_columns(self, name):

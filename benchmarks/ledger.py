@@ -1,0 +1,205 @@
+"""Write the BENCH ledger: one JSON file of before/after numbers per change.
+
+Usage (from anywhere)::
+
+    python3 benchmarks/ledger.py --pr 7 [--root <checkout>] [--out BENCH_7.json]
+
+It measures the checkout at ``--root`` (default: this repository) and
+records, in ``BENCH_<pr>.json`` at that root unless ``--out`` says
+otherwise:
+
+- perfbench ``--trace 0`` on every workload of ``BENCHMARK.json`` over
+  the seeds in ``SEEDS``: each end-to-end metric's per-run values,
+  median and Q1-Q3, the ``report`` lines, and the ops attempted and
+  failed;
+- perfbench ``--trace 1`` on seed 0: the per-layer metrics;
+- the wall time of the full-scale ``jobs/run_table2.py`` and a sha256 of
+  the CSV it wrote (kept as ``.ledger_work/table2.csv``), so two ledgers
+  show whether the table moved;
+- the Tier-1 suite's wall time and pass/fail counts;
+- ``nproc``, memory, the commit and ``cpu_steal_share`` as perfbench
+  reports them.
+
+It reads perfbench's stdout only and changes neither ``perfbench/`` nor
+``BENCHMARK.json``.  Runs are sequential, one process tree at a time.
+Not a pytest file: pytest collects only ``bench_*.py`` here.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import re
+import shutil
+import statistics
+import subprocess
+import sys
+import time
+
+SEEDS = (0, 1, 2, 3, 4)
+TRACE_SEED = 0
+# the Tier-1 command of ROADMAP.md, without its outer timeout
+TIER1 = [sys.executable, "-m", "pytest", "tests/", "-q",
+         "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+
+
+def quartiles(values: list[float]) -> dict:
+    """Median and Q1-Q3 (inclusive method, so 2 runs give a range)."""
+    if len(values) < 2:
+        v = values[0] if values else None
+        return {"median": v, "q1": v, "q3": v}
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def env_for(root: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + env.get("PYTHONPATH", "").split(os.pathsep)
+    ).rstrip(os.pathsep)
+    return env
+
+
+def perfbench(root: str, workload: str, seed: int, seconds: float,
+              trace: int) -> dict:
+    """One perfbench run; its env line, report lines and final JSON line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
+    t0 = time.perf_counter()
+    p = subprocess.run(cmd, cwd=root, env=env_for(root), capture_output=True,
+                       text=True)
+    wall = time.perf_counter() - t0
+    lines = p.stdout.splitlines()
+    out = {"seed": seed, "exit": p.returncode, "wall_s": round(wall, 2),
+           "env": {}, "report": {}, "result": None}
+    for line in lines:
+        if line.startswith('{"env"'):
+            out["env"] = json.loads(line)["env"]
+        elif line.startswith("report "):
+            _, _, name, _, value, *unit = line.split()
+            out["report"][name] = float(value)
+    if lines and lines[-1].startswith("{"):
+        out["result"] = json.loads(lines[-1])
+    if out["result"] is None:
+        out["stderr_tail"] = p.stderr[-2000:]
+    return out
+
+
+def summarize_runs(runs: list[dict]) -> dict:
+    ok = [r for r in runs if r["result"]]
+    names = ok[0]["result"]["metrics"] if ok else {}
+    metrics = {}
+    for name, m in names.items():
+        vals = [r["result"]["metrics"][name]["value"] for r in ok]
+        metrics[name] = {"unit": m["unit"], "values": vals, **quartiles(vals)}
+    return {
+        "seeds": [r["seed"] for r in runs],
+        "correct": [bool(r["result"] and r["result"]["correct"]) for r in runs],
+        "failed_ops": [r["result"]["failed"] if r["result"] else None
+                       for r in runs],
+        "metrics": metrics,
+        "report": [r["report"] for r in runs],
+        "cpu_steal_share": [r["env"].get("cpu_steal_share") for r in runs],
+    }
+
+
+def table2_full(root: str, work: str) -> dict:
+    csv = os.path.join(work, "table2.csv")
+    t0 = time.perf_counter()
+    p = subprocess.run([sys.executable, "jobs/run_table2.py", "--out", csv],
+                       cwd=root, env=env_for(root), capture_output=True,
+                       text=True)
+    wall = time.perf_counter() - t0
+    out = {"exit": p.returncode, "wall_s": round(wall, 2)}
+    if p.returncode == 0:
+        with open(csv, "rb") as f:
+            out["csv_sha256"] = hashlib.sha256(f.read()).hexdigest()
+    else:
+        out["stderr_tail"] = p.stderr[-2000:]
+    return out
+
+
+def driver_mem() -> str:
+    """Half the machine's memory, 2-8 GB, as in ROADMAP.md's command."""
+    with open("/proc/meminfo") as f:
+        kb = next(int(line.split()[1]) for line in f
+                  if line.startswith("MemTotal:"))
+    return f"{min(8, max(2, kb // 2097152))}g"
+
+
+def tier1(root: str) -> dict:
+    env = env_for(root)
+    env.setdefault("SPARK_DRIVER_MEM", driver_mem())
+    env.setdefault("SPARK_LOCAL_DIRS", "/tmp/spark-local")
+    t0 = time.perf_counter()
+    p = subprocess.run(TIER1, cwd=root, env=env, capture_output=True,
+                       text=True)
+    wall = time.perf_counter() - t0
+    tail = p.stdout.strip().splitlines()[-1] if p.stdout.strip() else ""
+    counts = {k: int(n) for n, k in re.findall(r"(\d+) (\w+)", tail)}
+    return {"exit": p.returncode, "wall_s": round(wall, 2),
+            "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("errors", 0)
+            + counts.get("error", 0),
+            "summary": tail}
+
+
+def main(argv=None) -> int:
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--pr", type=int, required=True)
+    ap.add_argument("--root", default=here)
+    ap.add_argument("--out", default=None)
+    args = ap.parse_args(argv)
+    root = os.path.abspath(args.root)
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    work = os.path.join(root, ".ledger_work")
+    shutil.rmtree(work, ignore_errors=True)
+    os.makedirs(work)
+
+    ledger: dict = {"pr": args.pr, "seeds": list(SEEDS),
+                    "run_seconds": seconds, "trace0": {}, "trace1": {}}
+    envs = []
+    for w in workloads:
+        runs = [perfbench(root, w, s, seconds, 0) for s in SEEDS]
+        envs += [r["env"] for r in runs if r["env"]]
+        ledger["trace0"][w] = summarize_runs(runs)
+        print(f"trace0 {w}: {ledger['trace0'][w]['correct']}", flush=True)
+    for w in workloads:
+        r = perfbench(root, w, TRACE_SEED, seconds, 1)
+        ledger["trace1"][w] = {
+            "seed": TRACE_SEED,
+            "correct": bool(r["result"] and r["result"]["correct"]),
+            "failed_ops": r["result"]["failed"] if r["result"] else None,
+            "layers": {k: m["value"] for k, m in
+                       (r["result"] or {}).get("metrics", {}).items()},
+        }
+        print(f"trace1 {w}: {ledger['trace1'][w]['correct']}", flush=True)
+    ledger["table2_full"] = table2_full(root, work)
+    print(f"table2 full: {ledger['table2_full']}", flush=True)
+    ledger["tier1"] = tier1(root)
+    print(f"tier1: {ledger['tier1']['summary']}", flush=True)
+    first = envs[0] if envs else {}
+    ledger["env"] = {
+        "nproc": first.get("nproc"),
+        "mem_total_gb": first.get("mem_total_gb"),
+        "git_commit": first.get("git_commit"),
+        "src_sha256": first.get("src_sha256"),
+        "cpu_steal_share_max": max(
+            (e["cpu_steal_share"] for e in envs
+             if e.get("cpu_steal_share") is not None), default=None),
+    }
+    out = args.out or os.path.join(root, f"BENCH_{args.pr}.json")
+    with open(out, "w") as f:
+        json.dump(ledger, f, indent=1, sort_keys=True)
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,7 +31,7 @@ from repro.sim.ingest import (
     simulate,
 )
 from repro.video.content import ContentTrace
-from repro.workloads.base import Workload
+from repro.workloads.base import Config, Workload
 
 PROFILE_EVERY_S = 600.0  # profiling period
 PROFILE_SEGMENTS = 1  # recent segments each profiling pass re-runs
@@ -42,12 +42,15 @@ def run_chameleon(
     wl: Workload,
     cluster: Cluster,
     trace: ContentTrace,
-    train_trace: ContentTrace,
+    train_trace: ContentTrace | None,
     *,
     seed: int = 0,
+    configs: list[Config] | None = None,
 ) -> RunResult:
-    """Simulate Chameleon* ingestion."""
-    configs = filter_knob_configs(wl, train_trace, seed=seed)
+    """Simulate Chameleon* ingestion over the candidate ``configs``: fit
+    step 1's filtered set, computed from ``train_trace`` when None."""
+    if configs is None:
+        configs = filter_knob_configs(wl, train_trace, seed=seed)
     prep = prepare(wl, configs, trace, seed=seed)
     tables = build_placement_tables(
         wl, configs, cluster, prep.mult_grid, enable_cloud=False

@@ -8,6 +8,8 @@ adaptation to fall back on).  This is the baseline Skyscraper is up to
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from repro.sim.cluster import Cluster
@@ -25,21 +27,21 @@ from repro.workloads.base import Config, Workload
 HEADROOM = 1.0
 
 
-def best_static_config(
-    wl: Workload, cluster: Cluster, train_trace: ContentTrace
-) -> Config:
-    """Most qualitative configuration sustainable in real time.
+def peak_multiplier(train_trace: ContentTrace) -> float:
+    """The training trace's p99.9 work multiplier: the peak a static
+    configuration must survive."""
+    return float(np.quantile(train_trace.work_multiplier, 0.999))
 
-    Feasibility: the configuration's *simulated* all-on-premises segment
-    runtime at the training trace's p99.9 multiplier must not exceed the
-    segment length (a static system must survive peaks; stage
-    serialization in the DAG makes the true runtime exceed
-    work / cores).  Falls back to the cheapest configuration if nothing
-    fits.
-    """
+
+def feasible_configs(
+    wl: Workload, cluster: Cluster, peak_mult: float
+) -> list[Config]:
+    """Configurations whose *simulated* all-on-premises segment runtime
+    at ``peak_mult`` does not exceed the segment length (stage
+    serialization in the DAG makes the true runtime exceed work /
+    cores), in ``wl.all_configs()`` order."""
     from repro.sim.dagsim import simulate_placement
 
-    peak_mult = float(np.quantile(train_trace.work_multiplier, 0.999))
     feasible = []
     for c in wl.all_configs():
         if wl.work_per_vs(c) * peak_mult > cluster.n_cores * HEADROOM:
@@ -50,22 +52,42 @@ def best_static_config(
         ).runtime_s
         if runtime <= wl.seg_len * HEADROOM:
             feasible.append(c)
-    if not feasible:
+    return feasible
+
+
+def most_qualitative(
+    wl: Workload, configs: list[Config], mean_q: Mapping[Config, float]
+) -> Config:
+    """The configuration of ``configs`` with the highest mean training
+    quality ``mean_q``, the cheaper one on ties; the cheapest
+    configuration of all if ``configs`` is empty."""
+    if not configs:
         return wl.cheapest_config()
-    mean_q = dict(zip(feasible, wl.mean_quality(feasible, train_trace)))
-    return max(feasible, key=lambda c: (mean_q[c], -wl.work_per_vs(c)))
+    return max(configs, key=lambda c: (mean_q[c], -wl.work_per_vs(c)))
+
+
+def best_static_config(
+    wl: Workload, cluster: Cluster, train_trace: ContentTrace
+) -> Config:
+    """Most qualitative configuration sustainable in real time at the
+    training trace's peak (a static system must survive peaks); falls
+    back to the cheapest configuration if nothing fits."""
+    feasible = feasible_configs(wl, cluster, peak_multiplier(train_trace))
+    mean_q = wl.mean_quality(feasible, train_trace)
+    return most_qualitative(wl, feasible, dict(zip(feasible, mean_q)))
 
 
 def run_static(
     wl: Workload,
     cluster: Cluster,
     trace: ContentTrace,
-    train_trace: ContentTrace,
+    train_trace: ContentTrace | None,
     *,
     seed: int = 0,
     config: Config | None = None,
 ) -> RunResult:
-    """Simulate static ingestion with one configuration, on premises."""
+    """Simulate static ingestion with one configuration, on premises;
+    ``train_trace`` is searched only when ``config`` is None."""
     if config is None:
         config = best_static_config(wl, cluster, train_trace)
     prep = prepare(wl, [config], trace, seed=seed)

@@ -10,6 +10,8 @@ buffer is exhausted (MOSEI-HIGH's lucky first peak).
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from repro.core.offline import filter_knob_configs
@@ -21,25 +23,36 @@ from repro.sim.ingest import (
     simulate,
 )
 from repro.video.content import ContentTrace
-from repro.workloads.base import Workload
+from repro.workloads.base import Config, Workload
 
 
 def run_videostorm(
     wl: Workload,
     cluster: Cluster,
     trace: ContentTrace,
-    train_trace: ContentTrace,
+    train_trace: ContentTrace | None,
     *,
     seed: int = 0,
+    configs: list[Config] | None = None,
+    mean_q: Mapping[Config, float] | None = None,
 ) -> RunResult:
-    """Content-agnostic greedy quality maximization under the buffer."""
-    configs = filter_knob_configs(wl, train_trace, seed=seed)
+    """Content-agnostic greedy quality maximization under the buffer.
+
+    ``configs`` (fit step 1's filtered set) and ``mean_q`` (mean quality
+    on the training trace, per configuration) are computed from
+    ``train_trace`` when None.
+    """
+    if configs is None:
+        configs = filter_knob_configs(wl, train_trace, seed=seed)
     prep = prepare(wl, configs, trace, seed=seed)
     tables = build_placement_tables(
         wl, configs, cluster, prep.mult_grid, enable_cloud=False
     )
     # content-agnostic quality ranking: mean quality on training data
-    train_q = wl.mean_quality(configs, train_trace)
+    if mean_q is None:
+        train_q = wl.mean_quality(configs, train_trace)
+    else:
+        train_q = np.array([mean_q[c] for c in configs])
     rank = np.argsort(-train_q).tolist()  # best quality first
 
     def decide(i, g, rt, usd, queue):

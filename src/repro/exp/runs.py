@@ -1,74 +1,143 @@
 """Single-experiment dispatcher: one (workload, method, hardware) run.
 
-Every Table-2-style cell is described by a plain dict so the grid can be
-shipped to Spark workers as JSON (``repro.exp.sweep``).  The offline fit
-is cached per (workload, seed, train settings) within a process, so
-local sweeps do not refit for every hardware point.
+Every Table-2-style cell is described by a plain dict, so a grid can be
+shipped to Spark workers (``repro.exp.sweep``).  A cell's offline work
+depends only on its *artifact key* (:func:`artifact_key`), not on its
+hardware or method variant:
+
+- a Skyscraper cell needs the :class:`~repro.core.fit.Fitted` of its fit
+  key ``(workload, seed, train_days, n_categories)``;
+- a baseline cell needs the :class:`TrainingSide` of its training key
+  ``(workload, seed, train_days)``.
+
+A sweep builds every artifact once (:func:`build_artifacts`, or one
+:func:`build_artifact` per Spark task) and hands each cell its artifact
+in ``params["artifact"]``; ``run_one`` without one builds its own.  A
+cell then generates only its test trace.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from dataclasses import dataclass
 
 from repro.baselines.chameleon import run_chameleon
 from repro.baselines.optimum import run_optimum
-from repro.baselines.static import run_static
+from repro.baselines.static import (
+    feasible_configs,
+    most_qualitative,
+    peak_multiplier,
+    run_static,
+)
 from repro.baselines.videostorm import run_videostorm
-from repro.core.fit import Fitted, fit_skyscraper
+from repro.core.fit import fit_skyscraper
 from repro.core.offline import filter_knob_configs
-from repro.sim.cluster import make_cluster
+from repro.sim.cluster import Cluster, make_cluster
 from repro.sim.ingest import RunResult, run_skyscraper
+from repro.video.content import ContentTrace
 from repro.workloads import get_workload
+from repro.workloads.base import Config, Workload
 
 # Daily cloud-credit budget per provisioned vCPU (USD/day/vCPU); the
 # planner decides how much of it is actually worth spending.
 CLOUD_BUDGET_PER_VCPU_DAY = 0.1
+METHODS = ("skyscraper", "static", "chameleon", "videostorm", "optimum")
 
 
-@lru_cache(maxsize=16)
-def cached_fit(
-    workload: str,
-    seed: int,
-    train_days: float,
-    n_categories: int | None,
-    plan_days: float,
-    in_days: float,
-) -> Fitted:
+@dataclass(frozen=True)
+class TrainingSide:
+    """What the baseline cells learn from one training trace."""
+
+    configs: list[Config]  # fit step 1's filtered set
+    peak_mult: float  # Static's feasibility multiplier
+    mean_q: dict[Config, float]  # mean training quality, every config
+
+    def static_config(self, wl: Workload, cluster: Cluster) -> Config:
+        """``best_static_config`` on the training trace; only the
+        feasibility filter depends on the cluster."""
+        feasible = feasible_configs(wl, cluster, self.peak_mult)
+        return most_qualitative(wl, feasible, self.mean_q)
+
+
+def artifact_key(params: dict) -> tuple:
+    """``(workload, seed, train_days, n_categories)`` for a Skyscraper
+    cell, ``(workload, seed, train_days)`` for a baseline cell.  The
+    first three fields name the training trace."""
+    workload, method = params["workload"], params["method"]
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    seed = int(params.get("seed", 0))
+    train_days = float(
+        params.get("train_days", get_workload(workload).train_days)
+    )
+    if method == "skyscraper":
+        return (workload, seed, train_days, params.get("n_categories"))
+    return (workload, seed, train_days)
+
+
+def build_artifact(key: tuple, train: ContentTrace | None = None):
+    """The artifact of one :func:`artifact_key`; ``train`` is the key's
+    training trace when the caller already has it."""
+    workload, seed, train_days = key[:3]
     wl = get_workload(workload)
-    return fit_skyscraper(
-        wl,
-        seed=seed,
-        train_days=train_days,
-        n_categories=n_categories,
-        plan_days=plan_days,
-        in_days=in_days,
+    if train is None:
+        train = wl.content(seed=seed, n_days=train_days)
+    if len(key) == 4:
+        # the planning horizon must be learnable from the training window
+        # (the paper: 16 train days for a 2-day horizon, a 8:1 ratio)
+        plan_days = min(2.0, train_days / 8.0)
+        return fit_skyscraper(
+            wl,
+            seed=seed,
+            train_days=train_days,
+            n_categories=key[3],
+            plan_days=plan_days,
+            in_days=plan_days,
+            trace=train,
+        )
+    every = wl.all_configs()
+    return TrainingSide(
+        configs=filter_knob_configs(wl, train, seed=seed),
+        peak_mult=peak_multiplier(train),
+        mean_q=dict(zip(every, wl.mean_quality(every, train).tolist())),
     )
 
 
+def build_artifacts(keys) -> dict:
+    """Artifact per distinct key, generating each training trace once."""
+    by_train: dict[tuple, list[tuple]] = {}
+    for k in dict.fromkeys(keys):
+        by_train.setdefault(k[:3], []).append(k)
+    out = {}
+    for (workload, seed, train_days), group in by_train.items():
+        train = get_workload(workload).content(seed=seed, n_days=train_days)
+        out.update((k, build_artifact(k, train)) for k in group)
+    return out
+
+
 def run_one(params: dict) -> dict:
-    """Run one experiment cell and return a flat result row."""
-    workload = params["workload"]
+    """Run one experiment cell and return a flat result row.
+
+    ``params["artifact"]``, when present, is :func:`build_artifact` of
+    the cell's :func:`artifact_key`.
+    """
+    key = artifact_key(params)
+    art = params.get("artifact")
+    if art is None:
+        art = build_artifact(key)
+    workload, seed, train_days = key[:3]
     method = params["method"]
     vcpus = int(params["vcpus"])
-    seed = int(params.get("seed", 0))
     wl = get_workload(workload)
-    train_days = float(params.get("train_days", wl.train_days))
     test_days = float(params.get("test_days", wl.test_days))
     n_categories = params.get("n_categories")
     cloud_budget = CLOUD_BUDGET_PER_VCPU_DAY * vcpus
 
     cluster = make_cluster(vcpus)
     test = wl.content(seed=seed, n_days=test_days, start_day=train_days)
-    # the planning horizon must be learnable from the training window
-    # (the paper: 16 train days for a 2-day horizon, a 8:1 ratio)
-    plan_days = in_days = min(2.0, train_days / 8.0)
 
     if method == "skyscraper":
-        fitted = cached_fit(
-            workload, seed, train_days, n_categories, plan_days, in_days
-        )
         res: RunResult = run_skyscraper(
             wl,
-            fitted,
+            art,
             cluster,
             test,
             cloud_budget_usd_per_day=cloud_budget,
@@ -80,21 +149,23 @@ def run_one(params: dict) -> dict:
                 params.get("ground_truth_forecast", False)
             ),
         )
-    elif method in ("static", "chameleon", "videostorm", "optimum"):
-        train = wl.content(seed=seed, n_days=train_days)
-        if method == "static":
-            res = run_static(wl, cluster, test, train, seed=seed)
-        elif method == "chameleon":
-            res = run_chameleon(wl, cluster, test, train, seed=seed)
-        elif method == "videostorm":
-            res = run_videostorm(wl, cluster, test, train, seed=seed)
-        else:
-            # fit step 1 alone: same trace and seed as the fit's, so the
-            # same configurations as ``Fitted.configs``
-            configs = filter_knob_configs(wl, train, seed=seed)
-            res = run_optimum(wl, cluster, test, configs, seed=seed)
+    elif method == "static":
+        res = run_static(
+            wl, cluster, test, None, seed=seed,
+            config=art.static_config(wl, cluster),
+        )
+    elif method == "chameleon":
+        res = run_chameleon(
+            wl, cluster, test, None, seed=seed, configs=art.configs
+        )
+    elif method == "videostorm":
+        res = run_videostorm(
+            wl, cluster, test, None, seed=seed, configs=art.configs,
+            mean_q=art.mean_q,
+        )
     else:
-        raise ValueError(f"unknown method {method!r}")
+        # fit step 1's configurations, as ``Fitted.configs``
+        res = run_optimum(wl, cluster, test, art.configs, seed=seed)
 
     row = res.to_row()
     row.update(

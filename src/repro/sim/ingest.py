@@ -208,8 +208,14 @@ class Prepared:
 def prepare(
     wl: Workload, configs: list[Config], trace: ContentTrace, *, seed: int
 ) -> Prepared:
-    qual_true = wl.quality_curves(configs, trace)
-    qual_obs = wl.observed_curves(configs, trace, seed=seed)
+    # one kernel pass for both: quality_curves' and observed_curves' ops
+    acc = wl.accuracies(configs, trace.difficulty)
+    mass = wl.mass(trace.difficulty, trace.work_multiplier)
+    qual_true = acc * mass
+    qual_obs = wl.report_accuracies(
+        acc, configs, trace.global_ids(), seed=seed
+    )
+    qual_obs *= mass
     qual_best = wl.quality_curves([wl.best_config()], trace)[0]
     seg_bytes = (
         wl.bitrate_bytes_per_s * wl.seg_len * trace.work_multiplier

@@ -252,12 +252,27 @@ class Workload(abc.ABC):
         noisy), then the mass scales it — the object count itself is
         observable.
         """
-        out = self.accuracies(configs, difficulty)
-        for row, cfg in zip(out, configs):
-            noise = hash_normal(self.noise_key(cfg, seed), ids)
-            np.clip(row + self.quality_noise * noise, 0.0, 1.0, out=row)
+        out = self.report_accuracies(
+            self.accuracies(configs, difficulty), configs, ids, seed=seed
+        )
         out *= self.mass(difficulty, mult)
         return out
+
+    def report_accuracies(
+        self,
+        acc: np.ndarray,
+        configs: list[Config],
+        ids: np.ndarray,
+        *,
+        seed: int,
+    ) -> np.ndarray:
+        """Turn the (K, n) :meth:`accuracies` ``acc`` into the accuracy
+        the user code reports, in place: row i plus ``configs[i]``'s
+        noise over segments ``ids``, clipped to [0, 1]."""
+        for row, cfg in zip(acc, configs):
+            noise = hash_normal(self.noise_key(cfg, seed), ids)
+            np.clip(row + self.quality_noise * noise, 0.0, 1.0, out=row)
+        return acc
 
     def observed_curves(
         self, configs: list[Config], trace: ContentTrace, *, seed: int

@@ -1,6 +1,8 @@
 """Tests for the experiment harness (sweeps and table reproductions)."""
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -17,6 +19,14 @@ from repro.exp.table2 import build_grid, format_table2, run_table2
 from repro.exp.table5 import run_table5, run_table6
 
 TINY = {"train_days": 1.0, "test_days": 0.25}
+# two Skyscraper cells share a fit; Static and Chameleon* share the
+# training side; all four share one training trace
+MIXED = [
+    {"workload": "covid", "method": m, "vcpus": v, "seed": 0, **TINY}
+    for m, v in (
+        ("skyscraper", 4), ("static", 4), ("skyscraper", 8), ("chameleon", 8)
+    )
+]
 
 
 class TestRunOne:
@@ -72,6 +82,46 @@ class TestSweep:
 
     def test_empty_grid(self, spark):
         assert run_grid_spark(spark, []).empty
+
+    def test_two_stage_spark_equals_local(self, spark):
+        local = run_grid_local(MIXED)
+        dist = run_grid_spark(spark, MIXED)
+        key = ["workload", "method", "vcpus"]
+        want = [(g["workload"], g["method"], g["vcpus"]) for g in MIXED]
+        assert list(dist[key].itertuples(index=False, name=None)) == want
+        pd.testing.assert_frame_equal(dist, local, check_exact=True)
+
+    def test_local_builds_each_artifact_once(self, monkeypatch):
+        from repro.exp import runs
+        from repro.workloads.base import Workload
+
+        fits, trains = Counter(), Counter()
+        fit, content = runs.fit_skyscraper, Workload.content
+
+        def counted_fit(wl, **kw):
+            fits[wl.name, kw["seed"], kw["train_days"], kw["n_categories"]] += 1
+            return fit(wl, **kw)
+
+        def counted_content(self, *, seed, n_days, start_day=0.0):
+            if start_day == 0.0:
+                trains[self.name, seed, n_days] += 1
+            return content(self, seed=seed, n_days=n_days, start_day=start_day)
+
+        monkeypatch.setattr(runs, "fit_skyscraper", counted_fit)
+        monkeypatch.setattr(Workload, "content", counted_content)
+        extra = {**MIXED[0], "n_categories": 2}
+        df = run_grid_local(MIXED + [extra])
+        assert len(df) == 5
+        assert fits == {("covid", 0, 1.0, None): 1, ("covid", 0, 1.0, 2): 1}
+        assert trains == {("covid", 0, 1.0): 1}
+
+    def test_one_cell_per_partition(self, spark):
+        """Stage 2 gives each of the 51 Table-2 cells its own task."""
+        from repro.exp.sweep import one_per_partition
+
+        grid = build_grid()
+        parts = one_per_partition(spark.sparkContext, grid).glom().collect()
+        assert parts == [[g] for g in grid]
 
 
 class TestTable2:

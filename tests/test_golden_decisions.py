@@ -17,6 +17,7 @@ CHANGES.md)::
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import importlib
 import json
@@ -100,11 +101,20 @@ def jsonable(row: dict) -> dict:
     return {k: v.item() if hasattr(v, "item") else v for k, v in row.items()}
 
 
-def run_cell(params: dict) -> dict:
-    from repro.exp.runs import run_one
+@functools.lru_cache(maxsize=None)
+def artifact(key: tuple):
+    """A cell's offline artifact, built once per key as a sweep does."""
+    from repro.exp.runs import build_artifact
 
+    return build_artifact(key)
+
+
+def run_cell(params: dict) -> dict:
+    from repro.exp.runs import artifact_key, run_one
+
+    art = artifact(artifact_key(params))
     with capture_chosen() as chosen:
-        row = run_one(dict(params))
+        row = run_one({**params, "artifact": art})
     assert len(chosen) == 1, f"{len(chosen)} finalize calls"
     return {"row": jsonable(row),
             "chosen_k_sha256": hashlib.sha256(chosen[0].tobytes()).hexdigest()}
@@ -115,14 +125,12 @@ def streaming_history() -> list[dict]:
     64-segment batches, planned on the same fit as the COVID runs."""
     from repro.core.planner import make_plan
     from repro.etl.streaming import StreamingSwitcher
-    from repro.exp.runs import cached_fit
     from repro.sim.cluster import make_cluster
     from repro.video.stream import trace_to_pandas
     from repro.workloads import get_workload
 
     wl = get_workload("covid")
-    plan_days = TRAIN_DAYS / 8.0
-    fitted = cached_fit("covid", 0, TRAIN_DAYS, None, plan_days, plan_days)
+    fitted = artifact(("covid", 0, TRAIN_DAYS, None))
     alpha = make_plan(fitted, fitted.train_hists, make_cluster(8),
                       interval_s=3600.0, cloud_budget_usd=0.0).alpha
     sw = StreamingSwitcher(wl=wl, fitted=fitted, alpha=alpha, seed=0)

@@ -11,6 +11,7 @@ from repro.sim.ingest import (
     prepare,
     run_skyscraper,
 )
+from repro.workloads import ALL_WORKLOADS, get_workload
 
 
 class TestSegmentQueue:
@@ -108,6 +109,21 @@ class TestPrepare:
         tr = covid.content(seed=0, n_days=0.02)
         prep = prepare(covid, covid_fit.configs, tr, seed=0)
         assert (prep.qual_true <= prep.qual_best[None, :] + 1e-9).all()
+
+    @pytest.mark.parametrize("name", ALL_WORKLOADS)
+    def test_curves_equal_per_curve_methods(self, name):
+        """One kernel pass gives both curves, bit for bit as the
+        ground-truth and reported-quality methods compute them."""
+        wl = get_workload(name)
+        tr = wl.content(seed=3, n_days=0.05, start_day=1.0)
+        configs = wl.all_configs()[:: max(1, len(wl.all_configs()) // 12)]
+        prep = prepare(wl, configs, tr, seed=3)
+        np.testing.assert_array_equal(
+            prep.qual_true, wl.quality_curves(configs, tr)
+        )
+        np.testing.assert_array_equal(
+            prep.qual_obs, wl.observed_curves(configs, tr, seed=3)
+        )
 
 
 @pytest.fixture(scope="module")

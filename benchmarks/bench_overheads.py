@@ -24,10 +24,7 @@ def switcher(covid_wl, covid_fitted, bench_cluster):
         covid_wl, covid_fitted.configs, bench_cluster, grid
     )
     sw = KnobSwitcher(
-        covid_fitted.categories,
-        covid_fitted.quality_rank,
-        [t.runtime[:, 0].tolist() for t in tables],
-        start_config=covid_fitted.k_minus_idx,
+        covid_fitted.categories, [t.runtime[:, 0].tolist() for t in tables]
     )
     rng = np.random.default_rng(0)
     alpha = rng.random((len(covid_fitted.configs), covid_fitted.categories.n))

@@ -8,8 +8,8 @@ quality each configuration achieves on content of that category.
 
 Profiling the (segments x configurations) quality matrix is the Spark
 part: segments become a DataFrame, a ``mapInPandas`` stage evaluates all
-configurations per batch (this is where real UDF DAGs would run), and a
-pivot produces the quality vectors.  A pure-numpy path exists for small
+configurations per batch (this is where real UDF DAGs would run) and
+yields one quality vector per segment.  A pure-numpy path exists for small
 inputs and as a parity oracle in tests.
 """
 from __future__ import annotations
@@ -96,23 +96,21 @@ def quality_vectors_spark(
 ) -> np.ndarray:
     """Same quality matrix, computed as a Spark dataflow.
 
-    Segments are distributed over partitions; each ``mapInPandas`` batch
-    evaluates every configuration on its slice of segments (in a real
-    deployment this is where the UDF DAG executes on the cluster).
+    ``createDataFrame`` slices the sampled segments over the default
+    parallelism; each ``mapInPandas`` batch evaluates every configuration
+    on its slice (in a real deployment this is where the UDF DAG executes
+    on the cluster) and yields one wide row per segment, so the driver
+    only sorts the rows back into sample order.
     """
     dims = list(wl.dims)
+    cols = [f"q{k}" for k in range(len(configs))]
     pdf = pd.DataFrame(trace.difficulty[idx], columns=dims)
     pdf.insert(0, "pos", np.arange(len(idx)))
     pdf["gid"] = trace.global_ids()[idx]
     pdf["mult"] = trace.work_multiplier[idx]
-    seg_df = spark.createDataFrame(pdf).repartition(
-        max(1, min(16, len(idx) // 64 + 1))
-    )
 
     def eval_configs(batches):
         for b in batches:
-            if not len(b):
-                continue
             q = wl.observed_quality(
                 configs,
                 b[dims].to_numpy(dtype=float),
@@ -120,23 +118,19 @@ def quality_vectors_spark(
                 seed=seed,
                 mult=b["mult"].to_numpy(dtype=float),
             )
-            yield pd.DataFrame(
-                {
-                    "pos": np.tile(b["pos"].to_numpy(), len(configs)),
-                    "config_id": np.repeat(np.arange(len(configs)), len(b)),
-                    "qual": q.ravel(),
-                }
-            )
+            out = pd.DataFrame(q.T, columns=cols)
+            out.insert(0, "pos", b["pos"].to_numpy())
+            yield out
 
-    long_df = seg_df.mapInPandas(
-        eval_configs, schema="pos long, config_id int, qual double"
+    schema = ", ".join(["pos long"] + [f"{c} double" for c in cols])
+    wide = (
+        spark.createDataFrame(pdf)
+        .mapInPandas(eval_configs, schema=schema)
+        .toPandas()
+        .sort_values("pos")
     )
-    # collect the long table and pivot driver-side: the matrix is small
-    # (sample x |K|) and a Spark pivot costs a full extra shuffle
-    long_pdf = long_df.toPandas()
-    wide = long_pdf.pivot(index="pos", columns="config_id", values="qual")
-    wide = wide.sort_index()
-    return wide[list(range(len(configs)))].to_numpy(dtype=float)
+    # row-major, as the numpy path returns it
+    return np.ascontiguousarray(wide[cols].to_numpy(dtype=float))
 
 
 def fit_categories(

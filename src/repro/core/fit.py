@@ -59,16 +59,10 @@ class Fitted:
     categories: Categories  # cluster centers (C, K)
     forecaster: MLP | None
     spec: ForecastSpec
-    quality_rank: list[int]  # config indices, most qualitative first
     mean_mult: float  # mean work multiplier in training data
     train_hists: np.ndarray  # (n_bins, C) training histogram series
-    k_minus_idx: int  # index of the cheapest configuration in configs
     k_label_idx: int = 0  # discriminator config used for offline labeling
     timings: dict = field(default_factory=dict)
-
-    @property
-    def n_configs(self) -> int:
-        return len(self.configs)
 
 
 def default_n_categories(wl: Workload) -> int:
@@ -126,18 +120,12 @@ def fit_skyscraper(
     categories = fit_categories(q_vecs, n_categories, seed=seed)
     timings["compute_content_categories"] = time.perf_counter() - t0
 
-    # ranking of configurations by expected quality (for the switcher's
-    # "next less qualitative configuration" fallback, Section 4.2)
-    mean_q = categories.centers.mean(axis=0)  # (K,)
-    quality_rank = list(np.argsort(-mean_q))
-    k_minus_idx = int(np.argmin(work))
-
     # Footnote 7: if k- achieves similar quality on all content
     # categories (not a good discriminator), pick the next cheapest
     # configuration that is one.  Discrimination = spread of the
     # configuration's column across the cluster centers.
     spreads = categories.centers.std(axis=0)  # (K,)
-    k_label_idx = k_minus_idx
+    k_label_idx = 0  # k-: configs are sorted by work
     if spreads.max() > 0:
         for j in np.argsort(work):
             if spreads[j] >= 0.5 * spreads.max():
@@ -187,10 +175,8 @@ def fit_skyscraper(
         categories=categories,
         forecaster=forecaster,
         spec=spec,
-        quality_rank=quality_rank,
         mean_mult=float(trace.work_multiplier.mean()),
         train_hists=train_hists,
-        k_minus_idx=k_minus_idx,
         k_label_idx=k_label_idx,
         timings=timings,
     )

@@ -70,8 +70,8 @@ def histogram_series_spark(
         .pivot("label", list(range(n_categories)))
         .agg(F.count(F.lit(1)))
         .na.fill(0)
-        .orderBy("bin")
         .toPandas()
+        .sort_values("bin")  # at most a few thousand bins: sort on the driver
     )
     mat = counts[[str(c) for c in range(n_categories)]].to_numpy(dtype=float)
     totals = mat.sum(axis=1, keepdims=True)

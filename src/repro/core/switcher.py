@@ -33,16 +33,15 @@ class KnobSwitcher:
     def __init__(
         self,
         categories: Categories,
-        quality_rank: Sequence[int],
         runtimes: Sequence[Sequence[float]],
-        *,
-        start_config: int = 0,
     ) -> None:
         """``runtimes[k][p]`` is placement p's runtime for configuration
         k at the grid's smallest multiplier, placements in scan order
-        (ascending cloud cost)."""
+        (ascending cloud cost).  Configurations are indexed in order of
+        increasing work, so the stream starts on the cheapest one, k-."""
         self.categories = categories
-        self.quality_rank = list(quality_rank)  # best quality first
+        # fallback order: highest mean expected quality first
+        self.quality_rank = list(np.argsort(-categories.centers.mean(axis=0)))
         self.placement_idx = [range(len(rt)) for rt in runtimes]
         # when nothing is feasible: the least qualitative configuration's
         # fastest placement (the first one on a runtime tie)
@@ -55,7 +54,7 @@ class KnobSwitcher:
         n_c = categories.n
         self.alpha = np.full((n_k, n_c), 1.0 / n_k)  # plan (uniform until set)
         self.counts = np.zeros((n_k, n_c))  # alpha-hat numerators
-        self.k_cur = start_config
+        self.k_cur = 0
 
     # -- plan management -----------------------------------------------------
     def set_plan(self, alpha: np.ndarray) -> None:

@@ -50,10 +50,7 @@ class StreamingSwitcher:
         # The job runs every task on its own executors and models no
         # buffer: each configuration has one placement, always feasible.
         self.switcher = KnobSwitcher(
-            self.fitted.categories,
-            self.fitted.quality_rank,
-            [[0.0]] * self.fitted.n_configs,
-            start_config=self.fitted.k_minus_idx,
+            self.fitted.categories, [[0.0]] * len(self.fitted.configs)
         )
         self.switcher.set_plan(self.alpha)
 

@@ -372,10 +372,7 @@ def run_skyscraper(
         wl, fitted.configs, cluster, prep.mult_grid, enable_cloud=enable_cloud
     )
     switcher = KnobSwitcher(
-        fitted.categories,
-        fitted.quality_rank,
-        [t.runtime[:, 0].tolist() for t in tables],
-        start_config=fitted.k_minus_idx,
+        fitted.categories, [t.runtime[:, 0].tolist() for t in tables]
     )
 
     n = trace.n_segments

@@ -45,11 +45,13 @@ def segments_df(
     start_day: float = 0.0,
     n_partitions: int = 8,
 ) -> DataFrame:
-    """Distributed Extract: each partition regenerates its day range.
+    """Distributed Extract: one task per day range.
 
-    The full trace is deterministic in (seed, start_day, n_days), so a
-    partition covering days [a, b) regenerates exactly its rows — no
-    data shipping from the driver, same rows regardless of partitioning.
+    The segment grid is cut into ``n_partitions`` ranges and
+    ``spark.range`` gives each task the id of one of them; the task
+    regenerates exactly that range, since the trace is deterministic in
+    (seed, start_day, n_days).  No rows are shipped from the driver, no
+    exchange runs, and the rows do not depend on the partitioning.
     """
     seg_len = wl.seg_len
     gid0 = int(round(start_day * 86400.0 / seg_len))
@@ -58,19 +60,12 @@ def segments_df(
     bounds = np.unique(
         np.linspace(gid0, gid0 + n_total, n_partitions + 1).round().astype(int)
     )
-    rng_df = spark.createDataFrame(
-        pd.DataFrame(
-            {
-                "lo_seg": bounds[:-1],
-                "hi_seg": bounds[1:],
-                "part": range(len(bounds) - 1),
-            }
-        )
-    ).repartition(len(bounds) - 1, "part")
+    n_ranges = len(bounds) - 1
 
     def gen(batches):
         for b in batches:
-            for lo, hi in zip(b["lo_seg"], b["hi_seg"]):
+            for i in b["id"]:
+                lo, hi = bounds[i], bounds[i + 1]
                 trace = wl.content(
                     seed=seed,
                     n_days=(hi - lo) * seg_len / 86400.0,
@@ -78,7 +73,9 @@ def segments_df(
                 )
                 yield trace_to_pandas(wl, trace)
 
-    return rng_df.mapInPandas(gen, schema=segment_schema(wl))
+    return spark.range(0, n_ranges, 1, n_ranges).mapInPandas(
+        gen, schema=segment_schema(wl)
+    )
 
 
 def write_stream_batches(

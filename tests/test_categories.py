@@ -119,7 +119,22 @@ class TestSparkParity:
         q_spark = quality_vectors_spark(
             spark, wl, tr, configs, idx, seed=0
         )
-        np.testing.assert_allclose(q_spark, q, atol=1e-12)
+        assert np.array_equal(q_spark, q)
+        assert q_spark.flags.c_contiguous
+        # KMeans' summation order follows the layout: same centers
+        assert np.array_equal(
+            fit_categories(q_spark, 3, seed=0).centers,
+            fit_categories(q, 3, seed=0).centers,
+        )
+
+    def test_spark_sample_smaller_than_parallelism(self, spark, setup):
+        """Empty partitions contribute no rows."""
+        wl, tr, configs, idx, _ = setup
+        small = idx[:2]
+        assert len(small) < spark.sparkContext.defaultParallelism
+        a = quality_vectors_spark(spark, wl, tr, configs, small, seed=0)
+        b = quality_vectors_numpy(wl, tr, configs, small, seed=0)
+        assert np.array_equal(a, b)
 
     def test_spark_mosei_with_multiplier(self, spark):
         wl = get_workload("mosei-high")
@@ -128,4 +143,4 @@ class TestSparkParity:
         idx = sample_segment_indices(tr, sample_frac=0.05, seed=0)
         a = quality_vectors_spark(spark, wl, tr, configs, idx, seed=0)
         b = quality_vectors_numpy(wl, tr, configs, idx, seed=0)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        assert np.array_equal(a, b)

@@ -194,6 +194,16 @@ class TestExtract:
         expected = trace_to_pandas(covid, tr)
         pd.testing.assert_frame_equal(got, expected, check_dtype=False)
 
+    @pytest.mark.parametrize("n_partitions", [4, 8])
+    def test_one_equal_range_per_partition(self, spark, covid, n_partitions):
+        df = segments_df(
+            spark, covid, seed=0, n_days=0.5, n_partitions=n_partitions
+        )
+        sizes = df.rdd.glom().map(len).collect()
+        assert sizes == [21_600 // n_partitions] * n_partitions
+        plan = df._jdf.queryExecution().executedPlan().toString()
+        assert "Exchange" not in plan
+
     def test_partitioning_does_not_change_rows(self, spark, covid):
         a = (
             segments_df(spark, covid, seed=0, n_days=0.02, n_partitions=2)

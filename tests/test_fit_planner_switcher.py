@@ -39,9 +39,9 @@ class TestFitted:
         assert default_n_categories(mosei_high) == 5
 
     def test_quality_rank_valid_permutation(self, covid_fit):
-        assert sorted(covid_fit.quality_rank) == list(
-            range(len(covid_fit.configs))
-        )
+        n_k = len(covid_fit.configs)
+        sw = KnobSwitcher(covid_fit.categories, [[0.0]] * n_k)
+        assert sorted(sw.quality_rank) == list(range(n_k))
 
     def test_label_config_is_discriminator(self, covid_fit):
         spreads = covid_fit.categories.centers.std(axis=0)
@@ -53,7 +53,8 @@ class TestFitted:
         )
 
     def test_k_minus_is_cheapest(self, covid, covid_fit):
-        assert covid_fit.configs[covid_fit.k_minus_idx] == min(
+        """The switcher starts on configs[0], which must be k-."""
+        assert covid_fit.configs[0] == min(
             covid_fit.configs, key=covid.work_per_vs
         )
 
@@ -136,11 +137,16 @@ def make_switcher(n_k=3, n_c=2):
     cats = Categories(centers=np.array(centers))
     # placement 0 on premises, placement 1 on the cloud (faster)
     runtimes = [[1.0 * (k + 1), 0.5 * (k + 1)] for k in range(n_k)]
-    rank = list(range(n_k))[::-1]  # higher index = higher quality
-    return KnobSwitcher(cats, rank, runtimes)
+    return KnobSwitcher(cats, runtimes)
 
 
 class TestSwitcher:
+    def test_rank_and_start_derived(self):
+        sw = make_switcher()
+        # mean center quality rises with the index: best quality first
+        assert sw.quality_rank == [2, 1, 0]
+        assert sw.k_cur == 0  # the cheapest configuration
+
     def test_set_plan_resets_counts(self):
         sw = make_switcher()
         sw.counts[0, 0] = 5

@@ -46,7 +46,7 @@ class TestHistogramSeries:
         labels = np.random.default_rng(1).integers(0, 4, 20_000)
         a = histogram_series(labels, seg_len=2.0, n_categories=4)
         b = histogram_series_spark(spark, labels, seg_len=2.0, n_categories=4)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        assert np.array_equal(a, b)
 
 
 class TestFeaturize:

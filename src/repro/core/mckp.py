@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.offline import pareto_front
+
 
 def lp_frontier(cost: np.ndarray, qual: np.ndarray) -> list[int]:
     """Indices of the LP-undominated items, sorted by increasing cost.
@@ -33,15 +35,10 @@ def lp_frontier(cost: np.ndarray, qual: np.ndarray) -> list[int]:
     quality-per-cost ratios.  Any LP-optimal solution uses only such
     items.
     """
-    order = sorted(range(len(cost)), key=lambda i: (cost[i], -qual[i]))
-    # dominance filter: strictly increasing quality as cost increases
-    mono: list[int] = []
-    for i in order:
-        if not mono or qual[i] > qual[mono[-1]] + 1e-15:
-            mono.append(i)
-    # convex-hull filter: incremental ratios must strictly decrease
+    # convex-hull filter over the Pareto front: incremental ratios must
+    # strictly decrease
     hull: list[int] = []
-    for i in mono:
+    for i in pareto_front(cost, qual):
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             r_ab = (qual[b] - qual[a]) / (cost[b] - cost[a])
@@ -50,7 +47,8 @@ def lp_frontier(cost: np.ndarray, qual: np.ndarray) -> list[int]:
                 hull.pop()
             else:
                 break
-        # cost ties were removed by the dominance filter except the first
+        # pareto_front leaves no exact cost ties; a near tie keeps the
+        # better item
         if len(hull) == 1 and cost[i] <= cost[hull[0]] + 1e-15:
             hull.pop()
         hull.append(i)

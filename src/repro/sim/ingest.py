@@ -217,13 +217,8 @@ def prepare(
     )
     qual_obs *= mass
     qual_best = wl.quality_curves([wl.best_config()], trace)[0]
-    seg_bytes = (
-        wl.bitrate_bytes_per_s * wl.seg_len * trace.work_multiplier
-        if wl.quality_weight_by_multiplier
-        else np.full(
-            trace.n_segments, wl.bitrate_bytes_per_s * wl.seg_len
-        )
-    )
+    # the multiplier counts concurrent streams (MOSEI) and is 1 elsewhere
+    seg_bytes = wl.bitrate_bytes_per_s * wl.seg_len * trace.work_multiplier
     grid, idx = multiplier_grid(trace)
     return Prepared(
         wl=wl,

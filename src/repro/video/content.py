@@ -21,11 +21,23 @@ of shipping data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 SECONDS_PER_DAY = 86_400.0
+
+
+def segment_range(
+    seg_len: float, n_days: float, start_day: float = 0.0
+) -> tuple[int, int]:
+    """The segments ``[gid0, gid0 + n)`` that cover ``n_days`` from
+    ``start_day``: segment k of the stream starts at k * seg_len, so the
+    window start snaps to the nearest segment (86400 need not be a
+    multiple of seg_len) and the window holds at least one segment."""
+    gid0 = int(round(start_day * SECONDS_PER_DAY / seg_len))
+    n = max(1, int(round(n_days * SECONDS_PER_DAY / seg_len)))
+    return gid0, n
 
 
 @dataclass(frozen=True)
@@ -121,15 +133,15 @@ class ContentTrace:
     """A realized difficulty trace: one row per video segment.
 
     ``gid0`` is the absolute index of the first segment (segments since
-    day 0 of the stream), used to derive slice-invariant noise.
+    day 0 of the stream); a segment's noise and start time derive from
+    its index, so they do not depend on how the stream is sliced.
     """
 
     params: ContentParams
     seed: int
-    start_day: float
+    gid0: int
     difficulty: np.ndarray  # (n_segments, D) float64 in [0, 1]
     work_multiplier: np.ndarray = field(default=None)  # (n_segments,), >= 0
-    gid0: int = 0
 
     def __post_init__(self) -> None:
         if self.work_multiplier is None:
@@ -153,22 +165,16 @@ class ContentTrace:
         return self.n_segments * self.seg_len / SECONDS_PER_DAY
 
     def times_s(self) -> np.ndarray:
-        """Arrival time (seconds since trace origin) of each segment."""
-        return (
-            self.start_day * SECONDS_PER_DAY
-            + np.arange(self.n_segments) * self.seg_len
-        )
+        """Arrival time (seconds since stream origin) of each segment."""
+        return self.global_ids() * self.seg_len
 
     def slice(self, start: int, stop: int) -> "ContentTrace":
         """Sub-trace covering segments [start, stop)."""
-        return ContentTrace(
-            params=self.params,
-            seed=self.seed,
-            start_day=self.start_day
-            + start * self.seg_len / SECONDS_PER_DAY,
+        return replace(
+            self,
+            gid0=self.gid0 + start,
             difficulty=self.difficulty[start:stop],
             work_multiplier=self.work_multiplier[start:stop],
-            gid0=self.gid0 + start,
         )
 
 
@@ -195,27 +201,18 @@ def diurnal_profile(hours: np.ndarray, peaks) -> np.ndarray:
 
 
 def generate(
-    params: ContentParams,
-    *,
-    seed: int,
-    n_days: float,
-    start_day: float = 0.0,
+    params: ContentParams, *, seed: int, gid0: int, n: int
 ) -> ContentTrace:
-    """Generate a difficulty trace of ``n_days`` starting at ``start_day``.
+    """Generate the difficulty trace of segments ``[gid0, gid0 + n)``.
 
-    Two traces generated with the same seed but different (start_day,
-    n_days) windows agree on overlapping days for the drift component;
-    burst/noise realizations are seeded per absolute day so train/test
-    splits of one long stream are consistent.
+    Every component is a function of the segment id (drift is simulated
+    from absolute day 0, bursts are seeded per absolute day, noise is
+    hashed per id), so any two ranges of the same seed agree on the
+    segments they share.
     """
-    n = max(1, int(round(n_days * SECONDS_PER_DAY / params.seg_len)))
     d = len(params.dims)
-    # Snap the window start to the global segment grid: segment k of the
-    # stream always starts at k * seg_len, so windows with different
-    # start days stay aligned (86400 need not be a multiple of seg_len).
-    gid0 = int(round(start_day * SECONDS_PER_DAY / params.seg_len))
     t0 = gid0 * params.seg_len
-    t = t0 + np.arange(n) * params.seg_len
+    t = (gid0 + np.arange(n)) * params.seg_len
     hours = (t / 3600.0) % 24.0
     day_idx = np.floor(t / SECONDS_PER_DAY).astype(int)
 
@@ -243,7 +240,7 @@ def generate(
     # past midnight into this window
     day_lo = int(np.floor(t0 / SECONDS_PER_DAY)) - 1
     day_hi = int(np.ceil(t_end / SECONDS_PER_DAY + 1e-9))
-    for day in range(day_lo, max(day_hi, day_lo + 1)):
+    for day in range(day_lo, day_hi):
         # +1_000_000 keeps the seed tuple non-negative for day -1
         rng_burst = np.random.default_rng((seed, 0xB0057, day + 1_000_000))
         n_bursts = rng_burst.poisson(params.burst_rate_per_hour * 24.0)
@@ -288,13 +285,7 @@ def generate(
             + noise[:, j]
         )
     np.clip(diff, 0.0, 1.0, out=diff)
-    return ContentTrace(
-        params=params,
-        seed=seed,
-        start_day=start_day,
-        difficulty=diff,
-        gid0=gid0,
-    )
+    return ContentTrace(params=params, seed=seed, gid0=gid0, difficulty=diff)
 
 
 # MOSEI concurrent-stream model: diurnal range, the 'high' pattern's
@@ -311,12 +302,13 @@ LONG_PEAK_HEIGHT = 46.0
 def stream_count_trace(
     *,
     seed: int,
+    gid0: int,
     n_segments: int,
     seg_len: float,
-    start_day: float = 0.0,
     spike: str | None = None,
 ) -> np.ndarray:
-    """Number of concurrently incoming streams over time (MOSEI workloads).
+    """Number of concurrently incoming streams over segments ``[gid0,
+    gid0 + n_segments)`` (MOSEI workloads).
 
     Mimics the Twitch active-streamer diurnal curve, plus the paper's two
     synthetic spike patterns: ``spike='high'`` adds short peaks of 62
@@ -324,20 +316,22 @@ def stream_count_trace(
     ``spike='long'`` adds one sustained multi-hour peak per two days (hard
     for buffering: the buffer fills early, Section 5.2).
     """
-    gid0 = int(round(start_day * SECONDS_PER_DAY / seg_len))
-    t = gid0 * seg_len + np.arange(n_segments) * seg_len
+    ids = gid0 + np.arange(n_segments)
+    t = ids * seg_len
+    t_end = (gid0 + n_segments) * seg_len
     hours = (t / 3600.0) % 24.0
     prof = diurnal_profile(hours, ((20.0, 4.5, 1.0), (14.0, 3.0, 0.55)))
     n_streams = STREAMS_BASE_LOW + (
         STREAMS_BASE_HIGH - STREAMS_BASE_LOW
     ) * prof
 
-    n_days = n_segments * seg_len / SECONDS_PER_DAY
     if spike == "high":
-        # per-absolute-day seeding so windows of the same seed agree
-        day_lo = int(np.floor(start_day))
-        day_hi = int(np.ceil(start_day + n_days + 1e-9))
-        for day in range(day_lo, max(day_hi, day_lo + 1)):
+        # per-absolute-day seeding so windows of the same seed agree;
+        # start one day early (day 0 at the latest): a spike seeded late
+        # on the previous day may spill past midnight into this window
+        day_lo = max(0, int(t[0] // SECONDS_PER_DAY) - 1)
+        day_hi = int(np.ceil(t_end / SECONDS_PER_DAY + 1e-9))
+        for day in range(day_lo, day_hi):
             rng = np.random.default_rng((seed, 0x57E0A, day))
             count = rng.poisson(SPIKES_PER_DAY)
             starts = day * SECONDS_PER_DAY + rng.uniform(
@@ -355,7 +349,7 @@ def stream_count_trace(
                     n_streams[a:b] = SPIKE_HEIGHT
     elif spike == "long":
         # One long sustained peak per 2-day period, starting mid-morning.
-        for day0 in np.arange(0.0, start_day + n_days, 2.0):
+        for day0 in np.arange(0.0, t_end / SECONDS_PER_DAY, 2.0):
             s = (day0 + 10.0 / 24.0) * SECONDS_PER_DAY
             a = int(max(0, (s - t[0]) // seg_len))
             b = int(
@@ -370,7 +364,5 @@ def stream_count_trace(
                 )
     elif spike is not None:
         raise ValueError(f"unknown spike pattern: {spike!r}")
-    n_streams += 0.6 * hash_normal(
-        (seed << 8) | 0x5C, gid0 + np.arange(n_segments)
-    )
+    n_streams += 0.6 * hash_normal((seed << 8) | 0x5C, ids)
     return np.clip(np.round(n_streams), 1.0, None)

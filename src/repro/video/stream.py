@@ -18,7 +18,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.video.content import ContentTrace
+from repro.video.content import ContentTrace, segment_range
 from repro.workloads.base import Workload
 
 
@@ -45,33 +45,27 @@ def segments_df(
     start_day: float = 0.0,
     n_partitions: int = 8,
 ) -> DataFrame:
-    """Distributed Extract: one task per day range.
+    """Distributed Extract: one task per segment range.
 
-    The segment grid is cut into ``n_partitions`` ranges and
-    ``spark.range`` gives each task the id of one of them; the task
-    regenerates exactly that range, since the trace is deterministic in
-    (seed, start_day, n_days).  No rows are shipped from the driver, no
+    The segments covering the window are cut into ``n_partitions``
+    ranges and ``spark.range`` gives each task the id of one of them;
+    the task regenerates exactly that range, since content is a function
+    of (seed, segment id).  No rows are shipped to the tasks, no
     exchange runs, and the rows do not depend on the partitioning.
     """
-    seg_len = wl.seg_len
-    gid0 = int(round(start_day * 86400.0 / seg_len))
-    n_total = max(1, int(round(n_days * 86400.0 / seg_len)))
-    # partition on the *segment grid* so windows neither overlap nor gap
+    gid0, n = segment_range(wl.seg_len, n_days, start_day)
     bounds = np.unique(
-        np.linspace(gid0, gid0 + n_total, n_partitions + 1).round().astype(int)
+        np.linspace(gid0, gid0 + n, n_partitions + 1).round().astype(int)
     )
     n_ranges = len(bounds) - 1
 
     def gen(batches):
         for b in batches:
             for i in b["id"]:
-                lo, hi = bounds[i], bounds[i + 1]
-                trace = wl.content(
-                    seed=seed,
-                    n_days=(hi - lo) * seg_len / 86400.0,
-                    start_day=lo * seg_len / 86400.0,
+                lo, hi = int(bounds[i]), int(bounds[i + 1])
+                yield trace_to_pandas(
+                    wl, wl.segments(seed=seed, gid0=lo, n=hi - lo)
                 )
-                yield trace_to_pandas(wl, trace)
 
     return spark.range(0, n_ranges, 1, n_ranges).mapInPandas(
         gen, schema=segment_schema(wl)

@@ -29,13 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.video.content import (
+    SECONDS_PER_DAY,
     ContentParams,
     ContentTrace,
     generate,
     hash_normal,
+    segment_range,
 )
-
-SECONDS_PER_DAY = 86_400.0
 
 Config = tuple  # one value per knob, aligned with Workload.knobs
 
@@ -104,8 +104,6 @@ class Workload(abc.ABC):
     # One traffic-camera feed produces 7.8 GB/day (paper footnote 2).
     bitrate_bytes_per_s: float = 7.8e9 / SECONDS_PER_DAY
     quality_noise: float = 0.02
-    # MOSEI weights segment quality by the concurrent-stream count.
-    quality_weight_by_multiplier: bool = False
     test_days: float = 8.0
     train_days: float = 16.0
 
@@ -291,12 +289,16 @@ class Workload(abc.ABC):
     def content_params(self) -> ContentParams:
         ...
 
+    def segments(self, *, seed: int, gid0: int, n: int) -> ContentTrace:
+        """Content of the stream's segments ``[gid0, gid0 + n)``."""
+        return generate(self.content_params(), seed=seed, gid0=gid0, n=n)
+
     def content(
         self, *, seed: int, n_days: float, start_day: float = 0.0
     ) -> ContentTrace:
-        return generate(
-            self.content_params(), seed=seed, n_days=n_days, start_day=start_day
-        )
+        """Content of the segments covering ``n_days`` from ``start_day``."""
+        gid0, n = segment_range(self.seg_len, n_days, start_day)
+        return self.segments(seed=seed, gid0=gid0, n=n)
 
     # -- task graph ----------------------------------------------------------
     @abc.abstractmethod

@@ -19,10 +19,12 @@ Two spike variants stress the two resource types (Section 5.2):
     so buffering alone is ineffective.
 
 Quality is the certainty-weighted sum over ingested streams, so segment
-qualities are weighted by the concurrent-stream count
-(``quality_weight_by_multiplier``).
+qualities are weighted by the concurrent-stream count (the work
+multiplier).
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -59,7 +61,6 @@ class MoseiWorkload(Workload):
         KnobSpec("stream_frac", (0.25, 0.5, 0.75, 1.0)),
     )
     tau = 0.10
-    quality_weight_by_multiplier = True
     bitrate_bytes_per_s = 400_000.0  # per incoming stream
     test_days = 2.0
     train_days = 10.0
@@ -108,24 +109,13 @@ class MoseiWorkload(Workload):
             seg_len=self.seg_len,
         )
 
-    def content(
-        self, *, seed: int, n_days: float, start_day: float = 0.0
-    ) -> ContentTrace:
-        trace = super().content(seed=seed, n_days=n_days, start_day=start_day)
+    def segments(self, *, seed: int, gid0: int, n: int) -> ContentTrace:
         mult = stream_count_trace(
-            seed=seed,
-            n_segments=trace.n_segments,
-            seg_len=self.seg_len,
-            start_day=start_day,
+            seed=seed, gid0=gid0, n_segments=n, seg_len=self.seg_len,
             spike=self.spike,
         )
-        return ContentTrace(
-            params=trace.params,
-            seed=trace.seed,
-            start_day=trace.start_day,
-            difficulty=trace.difficulty,
-            work_multiplier=mult,
-            gid0=trace.gid0,
+        return replace(
+            super().segments(seed=seed, gid0=gid0, n=n), work_multiplier=mult
         )
 
     def task_graph(self, cfg: Config) -> TaskGraph:

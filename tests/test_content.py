@@ -3,14 +3,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.video.content import (
     SECONDS_PER_DAY,
+    SPIKE_HEIGHT,
     ContentParams,
     ContentTrace,
     diurnal_profile,
     generate,
     hash_normal,
+    segment_range,
     stream_count_trace,
 )
 from repro.workloads import ALL_WORKLOADS, get_workload
@@ -26,6 +30,13 @@ def simple_params(**over) -> ContentParams:
     )
     kw.update(over)
     return ContentParams(**kw)
+
+
+def days(p: ContentParams, *, seed: int, n_days: float,
+         start_day: float = 0.0) -> ContentTrace:
+    """``generate`` over the segments covering a window of days."""
+    gid0, n = segment_range(p.seg_len, n_days, start_day)
+    return generate(p, seed=seed, gid0=gid0, n=n)
 
 
 class TestHashNormal:
@@ -82,48 +93,48 @@ class TestDiurnalProfile:
 
 class TestGenerate:
     def test_shapes_and_bounds(self):
-        tr = generate(simple_params(), seed=0, n_days=0.1)
+        tr = days(simple_params(), seed=0, n_days=0.1)
         assert tr.difficulty.shape == (4320, 2)
         assert tr.difficulty.min() >= 0.0
         assert tr.difficulty.max() <= 1.0
 
     def test_deterministic(self):
-        a = generate(simple_params(), seed=1, n_days=0.05)
-        b = generate(simple_params(), seed=1, n_days=0.05)
+        a = days(simple_params(), seed=1, n_days=0.05)
+        b = days(simple_params(), seed=1, n_days=0.05)
         np.testing.assert_array_equal(a.difficulty, b.difficulty)
 
     def test_seed_matters(self):
-        a = generate(simple_params(), seed=1, n_days=0.05)
-        b = generate(simple_params(), seed=2, n_days=0.05)
+        a = days(simple_params(), seed=1, n_days=0.05)
+        b = days(simple_params(), seed=2, n_days=0.05)
         assert not np.allclose(a.difficulty, b.difficulty)
 
     def test_window_invariance(self):
         p = simple_params()
-        full = generate(p, seed=5, n_days=2.0)
-        w1 = generate(p, seed=5, n_days=1.0)
-        w2 = generate(p, seed=5, n_days=1.0, start_day=1.0)
+        full = days(p, seed=5, n_days=2.0)
+        w1 = days(p, seed=5, n_days=1.0)
+        w2 = days(p, seed=5, n_days=1.0, start_day=1.0)
         joined = np.vstack([w1.difficulty, w2.difficulty])
         np.testing.assert_allclose(joined, full.difficulty, atol=1e-9)
 
     def test_gid0_snaps_to_grid(self):
         p = simple_params(seg_len=7.0)
-        tr = generate(p, seed=0, n_days=0.5, start_day=1.0)
+        tr = days(p, seed=0, n_days=0.5, start_day=1.0)
         assert tr.gid0 == round(SECONDS_PER_DAY / 7.0)
 
     def test_diurnal_signal_present(self):
         p = simple_params(noise_sigma=0.0, burst_rate_per_hour=0.0,
                           drift_sigma=1e-6)
-        tr = generate(p, seed=0, n_days=1.0)
+        tr = days(p, seed=0, n_days=1.0)
         hours = (np.arange(tr.n_segments) * 2.0 / 3600.0) % 24
         noon = tr.difficulty[(hours > 11) & (hours < 13), 0].mean()
         night = tr.difficulty[(hours > 2) & (hours < 4), 0].mean()
         assert noon > night + 0.2
 
     def test_bursts_raise_difficulty(self):
-        quiet = generate(
+        quiet = days(
             simple_params(burst_rate_per_hour=0.0), seed=3, n_days=0.25
         )
-        bursty = generate(
+        bursty = days(
             simple_params(burst_rate_per_hour=60.0), seed=3, n_days=0.25
         )
         assert bursty.difficulty[:, 0].mean() > quiet.difficulty[:, 0].mean()
@@ -131,7 +142,7 @@ class TestGenerate:
     def test_drift_varies_across_days(self):
         p = simple_params(noise_sigma=0.0, burst_rate_per_hour=0.0,
                           drift_sigma=0.2, drift_rho=0.3)
-        tr = generate(p, seed=11, n_days=6.0)
+        tr = days(p, seed=11, n_days=6.0)
         per_day = tr.difficulty[:, 0].reshape(6, -1).mean(axis=1)
         assert per_day.std() > 0.01
 
@@ -147,7 +158,7 @@ class TestGenerate:
 
 class TestContentTrace:
     def test_slice_consistency(self):
-        tr = generate(simple_params(), seed=0, n_days=0.1)
+        tr = days(simple_params(), seed=0, n_days=0.1)
         sub = tr.slice(100, 200)
         assert sub.n_segments == 100
         np.testing.assert_array_equal(
@@ -158,14 +169,14 @@ class TestContentTrace:
         )
 
     def test_times_and_duration(self):
-        tr = generate(simple_params(), seed=0, n_days=0.25)
+        tr = days(simple_params(), seed=0, n_days=0.25)
         t = tr.times_s()
         assert t[0] == 0.0
         assert t[1] - t[0] == tr.seg_len
         assert tr.duration_days == pytest.approx(0.25)
 
     def test_default_multiplier_is_one(self):
-        tr = generate(simple_params(), seed=0, n_days=0.01)
+        tr = days(simple_params(), seed=0, n_days=0.01)
         np.testing.assert_array_equal(
             tr.work_multiplier, np.ones(tr.n_segments)
         )
@@ -173,46 +184,60 @@ class TestContentTrace:
 
 class TestStreamCount:
     def test_bounds_and_integrality(self):
-        n = stream_count_trace(seed=0, n_segments=10000, seg_len=7.0)
+        n = stream_count_trace(seed=0, gid0=0, n_segments=10000, seg_len=7.0)
         assert n.min() >= 1.0
         np.testing.assert_array_equal(n, np.round(n))
 
     def test_high_spikes_reach_62(self):
         n = stream_count_trace(
-            seed=0, n_segments=5 * 12343, seg_len=7.0, spike="high"
+            seed=0, gid0=0, n_segments=5 * 12343, seg_len=7.0, spike="high"
         )
         assert n.max() >= 60.0
 
     def test_long_peak_sustained(self):
         n = stream_count_trace(
-            seed=0, n_segments=2 * 12343, seg_len=7.0, spike="long"
+            seed=0, gid0=0, n_segments=2 * 12343, seg_len=7.0, spike="long"
         )
         # a >= 8h stretch at the long-peak height
         at_peak = n >= 44
         assert at_peak.sum() * 7.0 > 7.5 * 3600
 
     def test_no_spike_stays_moderate(self):
-        n = stream_count_trace(seed=0, n_segments=12343, seg_len=7.0)
+        n = stream_count_trace(seed=0, gid0=0, n_segments=12343, seg_len=7.0)
         assert n.max() <= 35
 
     def test_unknown_spike_rejected(self):
         with pytest.raises(ValueError):
             stream_count_trace(
-                seed=0, n_segments=10, seg_len=7.0, spike="bogus"
+                seed=0, gid0=0, n_segments=10, seg_len=7.0, spike="bogus"
             )
 
     def test_window_invariance(self):
         full = stream_count_trace(
-            seed=4, n_segments=2 * 12343, seg_len=7.0, spike="high"
+            seed=4, gid0=0, n_segments=2 * 12343, seg_len=7.0, spike="high"
         )
         w1 = stream_count_trace(
-            seed=4, n_segments=12343, seg_len=7.0, spike="high"
+            seed=4, gid0=0, n_segments=12343, seg_len=7.0, spike="high"
         )
         w2 = stream_count_trace(
-            seed=4, n_segments=12343, seg_len=7.0, start_day=1.0,
-            spike="high",
+            seed=4, gid0=12343, n_segments=12343, seg_len=7.0, spike="high"
         )
         np.testing.assert_array_equal(np.concatenate([w1, w2]), full)
+
+    def test_spike_spills_past_midnight(self):
+        # seed 0 draws a spike at 86,399.2 s into day 29: its six minutes
+        # run into day 30, so a window opening on day 30 starts inside it
+        g29, n = segment_range(7.0, 2.0, 29.0)
+        g30, _ = segment_range(7.0, 1.0, 30.0)
+        full = stream_count_trace(
+            seed=0, gid0=g29, n_segments=n, seg_len=7.0, spike="high"
+        )
+        win = stream_count_trace(
+            seed=0, gid0=g30, n_segments=n - (g30 - g29), seg_len=7.0,
+            spike="high",
+        )
+        np.testing.assert_array_equal(win, full[g30 - g29:])
+        assert win[0] >= SPIKE_HEIGHT - 2
 
 
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
@@ -232,9 +257,43 @@ def test_workload_trace_window_invariance(name):
     w2 = wl.content(seed=2, n_days=1.0, start_day=1.0)
     joined = np.vstack([w1.difficulty, w2.difficulty])
     n = len(joined)
-    np.testing.assert_allclose(joined, full.difficulty[:n], atol=1e-8)
-    np.testing.assert_allclose(
+    np.testing.assert_array_equal(joined, full.difficulty[:n])
+    np.testing.assert_array_equal(
         np.concatenate([w1.work_multiplier, w2.work_multiplier]),
         full.work_multiplier[:n],
-        atol=1e-8,
     )
+    np.testing.assert_array_equal(
+        np.concatenate([w1.times_s(), w2.times_s()]), full.times_s()[:n]
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(ALL_WORKLOADS),
+    seed=st.integers(0, 2**16),
+    gid0=st.integers(0, 40 * 43_200),
+    n=st.integers(2, 2_000),
+    data=st.data(),
+)
+def test_segment_ranges_concatenate(name, seed, gid0, n, data):
+    """Content does not depend on how a segment range is cut: two
+    adjacent ranges concatenated equal one call over their union."""
+    wl = get_workload(name)
+    cut = data.draw(st.integers(gid0 + 1, gid0 + n - 1))
+    whole = wl.segments(seed=seed, gid0=gid0, n=n)
+    parts = [
+        wl.segments(seed=seed, gid0=gid0, n=cut - gid0),
+        wl.segments(seed=seed, gid0=cut, n=gid0 + n - cut),
+    ]
+    np.testing.assert_array_equal(
+        np.vstack([p.difficulty for p in parts]), whole.difficulty
+    )
+    np.testing.assert_array_equal(
+        np.concatenate([p.work_multiplier for p in parts]),
+        whole.work_multiplier,
+    )
+    for method in ("global_ids", "times_s"):
+        np.testing.assert_array_equal(
+            np.concatenate([getattr(p, method)() for p in parts]),
+            getattr(whole, method)(),
+        )

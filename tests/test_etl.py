@@ -20,6 +20,7 @@ from repro.etl.load import (
 from repro.etl.transform import transform_segments_switched
 from repro.oracle import assert_equivalent
 from repro.video.stream import segments_df, trace_to_pandas, write_stream_batches
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
@@ -187,12 +188,20 @@ class TestLoadQueries:
 
 
 class TestExtract:
-    def test_segments_df_matches_trace(self, spark, covid):
-        df = segments_df(spark, covid, seed=0, n_days=0.02, n_partitions=4)
+    @pytest.mark.parametrize("name", ["covid", "mosei-high"])
+    def test_segments_df_matches_trace(self, spark, name):
+        # the batch and in-process Extracts give every segment the same
+        # row, t_start included (start day 10 is off MOSEI's 7 s grid)
+        wl = get_workload(name)
+        df = segments_df(
+            spark, wl, seed=0, n_days=0.02, start_day=10.0, n_partitions=4
+        )
         got = df.toPandas().sort_values("segment_id").reset_index(drop=True)
-        tr = covid.content(seed=0, n_days=0.02)
-        expected = trace_to_pandas(covid, tr)
-        pd.testing.assert_frame_equal(got, expected, check_dtype=False)
+        tr = wl.content(seed=0, n_days=0.02, start_day=10.0)
+        expected = trace_to_pandas(wl, tr)
+        pd.testing.assert_frame_equal(
+            got, expected, check_dtype=False, check_exact=True
+        )
 
     @pytest.mark.parametrize("n_partitions", [4, 8])
     def test_one_equal_range_per_partition(self, spark, covid, n_partitions):

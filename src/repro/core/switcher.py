@@ -28,7 +28,16 @@ from repro.core.categories import Categories
 
 
 class KnobSwitcher:
-    """Stateful reactive knob switcher for one stream."""
+    """Stateful reactive knob switcher for one stream.
+
+    The per-segment steps run on plain Python floats: the running
+    configuration's center column (Eq. 5), each category's plan column
+    and usage counts (Eq. 6).  Each step does numpy's operations in
+    numpy's order and keeps the first of tied candidates, as ``argmin``
+    and ``argmax`` do, so the decisions are those of the array form
+    (``Categories.classify_1d``; ``argmax(alpha[:, c] - counts[:, c] /
+    total)``).
+    """
 
     def __init__(
         self,
@@ -41,56 +50,75 @@ class KnobSwitcher:
         increasing work, so the stream starts on the cheapest one, k-."""
         self.categories = categories
         # fallback order: highest mean expected quality first
-        self.quality_rank = list(np.argsort(-categories.centers.mean(axis=0)))
+        rank = np.argsort(-categories.centers.mean(axis=0)).tolist()
+        self.quality_rank = rank
+        # each configuration's fallback order: its rank suffix
+        self._fallback = [None] * len(rank)
+        for pos, k in enumerate(rank):
+            self._fallback[k] = rank[pos:]
         self.placement_idx = [range(len(rt)) for rt in runtimes]
         # when nothing is feasible: the least qualitative configuration's
         # fastest placement (the first one on a runtime tie)
-        k_last = self.quality_rank[-1]
+        k_last = rank[-1]
         self.forced = (
             k_last,
             min(self.placement_idx[k_last], key=runtimes[k_last].__getitem__),
         )
+        self._centers = categories.centers.T.tolist()  # [k][c]
         n_k = categories.n_configs
-        n_c = categories.n
-        self.alpha = np.full((n_k, n_c), 1.0 / n_k)  # plan (uniform until set)
-        self.counts = np.zeros((n_k, n_c))  # alpha-hat numerators
+        self.set_plan(np.full((n_k, categories.n), 1.0 / n_k))  # uniform
         self.k_cur = 0
 
     # -- plan management -----------------------------------------------------
     def set_plan(self, alpha: np.ndarray) -> None:
-        """Install a fresh knob plan and reset usage statistics."""
-        if alpha.shape != self.alpha.shape:
+        """Install a fresh knob plan ``alpha[k, c]`` and reset usage
+        statistics.  LP plans may carry round-off negatives; a non-finite
+        entry is an error (a first-maximum scan would skip a NaN)."""
+        shape = (self.categories.n_configs, self.categories.n)
+        if alpha.shape != shape:
             raise ValueError("plan shape mismatch")
-        self.alpha = alpha
-        self.counts[:] = 0.0
+        if not np.isfinite(alpha).all():
+            raise ValueError("plan has non-finite entries")
+        self._alpha = alpha.T.tolist()  # [c][k]
+        # alpha-hat numerators and their sum, per category
+        self._counts = [[0.0] * shape[0] for _ in range(shape[1])]
+        self._total = [0.0] * shape[1]
+
+    @property
+    def counts(self) -> np.ndarray:
+        """(K, C) usage counts under the current plan."""
+        return np.array(self._counts).T
 
     # -- the three steps of Section 4.2 --------------------------------------
     def classify(self, reported_quality: float) -> int:
         """Step 1: category of the current content from the reported
         quality of the *currently running* configuration (Eq. 5)."""
-        return int(
-            self.categories.classify_1d(self.k_cur, reported_quality)[0]
-        )
+        col = self._centers[self.k_cur]
+        best, best_d = 0, abs(col[0] - reported_quality)
+        for c in range(1, len(col)):
+            d = abs(col[c] - reported_quality)
+            if d < best_d:
+                best, best_d = c, d
+        return best
 
     def pick_config(self, category: int) -> int:
         """Steps 2-3a: configuration with the largest planned-minus-actual
         frequency deficit for this category (Eq. 6)."""
-        total = self.counts[:, category].sum()
-        alpha_hat = (
-            self.counts[:, category] / total
-            if total > 0
-            else np.zeros(len(self.counts))
-        )
-        return int(np.argmax(self.alpha[:, category] - alpha_hat))
+        deficit = self._alpha[category]  # nothing used yet: the plan
+        total = self._total[category]
+        if total > 0:
+            deficit = [
+                a - n / total for a, n in zip(deficit, self._counts[category])
+            ]
+        return deficit.index(max(deficit))  # the first maximum
 
     def fallback_order(self, k_desired: int) -> list[int]:
-        """k_desired, then successively less qualitative configurations."""
-        pos = self.quality_rank.index(k_desired)
-        order = self.quality_rank[pos:]
-        # Safety net: if even the least qualitative configuration in rank
-        # order fails the caller's feasibility check, there is nothing
-        # cheaper to try — callers force the last entry.
-        return order
+        """k_desired, then successively less qualitative configurations.
+
+        If even the least qualitative configuration fails the caller's
+        feasibility check, there is nothing cheaper to try: ``choose``
+        forces its fastest placement."""
+        return self._fallback[k_desired]
 
     def choose(
         self,
@@ -119,5 +147,6 @@ class KnobSwitcher:
         return self.forced
 
     def _record(self, k: int, category: int) -> None:
-        self.counts[k, category] += 1.0
+        self._counts[category][k] += 1.0
+        self._total[category] += 1.0
         self.k_cur = k

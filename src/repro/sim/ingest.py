@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -138,7 +139,9 @@ class SegmentQueue:
 
     Segment i is fully captured at (i+1)*seg_len; processing is
     sequential.  The buffered bytes after finishing segment i equal the
-    total size of segments captured by then but not yet processed.
+    total size of segments captured by then but not yet processed:
+    ``cum[captured] - cum[i+1]``, with ``captured = min(n, floor(finish
+    / seg_len))``, and none while ``captured <= i+1``.
     """
 
     def __init__(
@@ -146,17 +149,38 @@ class SegmentQueue:
     ) -> None:
         self.seg_len = seg_len
         self.n = len(seg_bytes)
-        self.cum = np.concatenate([[0.0], np.cumsum(seg_bytes)])
+        # compact per-segment arrays whose reads are Python floats
+        cum = np.concatenate([[0.0], np.cumsum(seg_bytes)])
+        self.cum = array("d", cum.tobytes())
         self.buffer_bytes = buffer_bytes
+        self._limits = {}  # headroom -> _first_over(headroom)
         self.ready = 0.0
         self.peak = 0.0
         self.overflowed = False
 
-    def _backlog_bytes(self, i: int, finish: float) -> float:
-        captured = min(self.n, int(math.floor(finish / self.seg_len)))
-        if captured <= i + 1:
-            return 0.0
-        return self.cum[captured] - self.cum[i + 1]
+    def _first_over(self, headroom: float) -> array:
+        """Per segment i, the smallest captured count c <= n whose
+        backlog ``cum[c] - cum[i+1]`` exceeds ``headroom`` x the buffer
+        (inf if none; the capacity is non-negative, so c > i+1).
+
+        A binary search on that exact subtraction: ``cum`` never
+        decreases, and neither does a float difference in its minuend,
+        so the test is monotone in c.  (Comparing ``cum[c]`` with
+        ``cum[i+1] + headroom * buffer`` would round differently.)"""
+        cum = np.frombuffer(self.cum)
+        cap = headroom * self.buffer_bytes
+        base = cum[1:]  # cum[i+1]
+        # the last c in [i+1, n] not over capacity, in power-of-two steps
+        last = np.arange(1, self.n + 1)
+        step = 1 << self.n.bit_length()
+        while step:
+            c = np.minimum(last + step, self.n)
+            np.copyto(last, c, where=~(cum[c] - base > cap))
+            step >>= 1
+        first = last + 1.0
+        first[last == self.n] = np.inf
+        self._limits[headroom] = array("d", first.tobytes())
+        return self._limits[headroom]
 
     def would_overflow(
         self, i: int, runtime: float, headroom: float = 1.0
@@ -165,21 +189,28 @@ class SegmentQueue:
         past ``headroom`` x its capacity?  The knob switcher admits
         expensive placements only below a safety fraction of the buffer
         (workload spikes arriving while the buffer is full would violate
-        Eq. 1 before the switcher can react)."""
-        start = max((i + 1) * self.seg_len, self.ready)
-        return (
-            self._backlog_bytes(i, start + runtime)
-            > headroom * self.buffer_bytes
-        )
+        Eq. 1 before the switcher can react).  For an integer c,
+        ``floor(x) >= c`` iff ``x >= c``: one comparison with the
+        precomputed first overflowing capture count decides it."""
+        first = self._limits.get(headroom) or self._first_over(headroom)
+        start = (i + 1) * self.seg_len  # max(capture, ready), inlined
+        if self.ready > start:
+            start = self.ready
+        return (start + runtime) / self.seg_len >= first[i]
 
     def step(self, i: int, runtime: float) -> float:
         """Process segment i; returns its completion wall-clock time."""
-        start = max((i + 1) * self.seg_len, self.ready)
+        start = (i + 1) * self.seg_len
+        if self.ready > start:
+            start = self.ready
         finish = start + runtime
-        backlog = self._backlog_bytes(i, finish)
-        if backlog > self.buffer_bytes + 1e-6:
-            self.overflowed = True
-        self.peak = max(self.peak, backlog)
+        captured = min(self.n, math.floor(finish / self.seg_len))
+        if captured > i + 1:
+            backlog = self.cum[captured] - self.cum[i + 1]
+            if backlog > self.buffer_bytes + 1e-6:
+                self.overflowed = True
+            if backlog > self.peak:
+                self.peak = backlog
         self.ready = finish
         return finish
 

@@ -106,26 +106,41 @@ def hash_normal(key: int, ids: np.ndarray) -> np.ndarray:
     identical no matter how the trace is sliced or partitioned across
     Spark workers — a stateful RNG stream would make observed qualities
     depend on batch boundaries.
+
+    The mixing and the transform run in place on three columns: the two
+    hash states and one scratch column that becomes the result.
     """
-    def mix(x: np.ndarray) -> np.ndarray:
-        z = x.copy()
-        z ^= z >> np.uint64(30)
+    out = np.empty(np.shape(ids))
+    tmp = out.view(np.uint64)
+
+    def mix(z: np.ndarray) -> None:  # splitmix64's finalizer
+        z ^= np.right_shift(z, np.uint64(30), out=tmp)
         z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
+        z ^= np.right_shift(z, np.uint64(27), out=tmp)
         z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        return z
+        z ^= np.right_shift(z, np.uint64(31), out=tmp)
 
     with np.errstate(over="ignore"):
-        base = np.asarray(ids, dtype=np.uint64) + np.uint64(
-            (key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        )
-        h1 = mix(base)
-        h2 = mix(base + np.uint64(0x632BE59BD9B4E019))
-    u1 = (h1 >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    u2 = (h2 >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    u1 = np.clip(u1, 1e-12, 1.0)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        h1 = np.array(ids, dtype=np.uint64)
+        h1 += np.uint64((key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
+        h2 = h1 + np.uint64(0x632BE59BD9B4E019)
+        mix(h1)
+        mix(h2)
+    # u = (h >> 11) * 2**-53: the top 53 bits as a float in [0, 1)
+    h1 >>= np.uint64(11)
+    h2 >>= np.uint64(11)
+    u1, u2 = out, h1.view(np.float64)
+    np.multiply(h1, 2.0**-53, out=u1)
+    np.clip(u1, 1e-12, 1.0, out=u1)
+    np.multiply(h2, 2.0**-53, out=u2)
+    # sqrt(-2 log u1) * cos(2 pi u2)
+    np.log(u1, out=u1)
+    np.multiply(-2.0, u1, out=u1)
+    np.sqrt(u1, out=u1)
+    np.multiply(2.0 * np.pi, u2, out=u2)
+    np.cos(u2, out=u2)
+    np.multiply(u1, u2, out=u1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -138,7 +153,6 @@ class ContentTrace:
     """
 
     params: ContentParams
-    seed: int
     gid0: int
     difficulty: np.ndarray  # (n_segments, D) float64 in [0, 1]
     work_multiplier: np.ndarray = field(default=None)  # (n_segments,), >= 0
@@ -285,7 +299,7 @@ def generate(
             + noise[:, j]
         )
     np.clip(diff, 0.0, 1.0, out=diff)
-    return ContentTrace(params=params, seed=seed, gid0=gid0, difficulty=diff)
+    return ContentTrace(params=params, gid0=gid0, difficulty=diff)
 
 
 # MOSEI concurrent-stream model: diurnal range, the 'high' pattern's

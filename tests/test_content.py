@@ -66,6 +66,59 @@ class TestHashNormal:
         r = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(r) < 0.02
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.integers(min_value=0, max_value=2**62),
+        lo=st.integers(min_value=-10, max_value=2**50),
+        n=st.integers(min_value=0, max_value=3000),
+        spread=st.booleans(),
+    )
+    def test_matches_reference_expression(self, key, lo, n, spread):
+        """The in-place mixing is bit-identical to the plain expression."""
+        ids = lo + np.arange(n) * (7919 if spread else 1)
+        got = hash_normal(key, ids)
+        want = hash_normal_reference(key, ids)
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+
+    def test_peak_memory_about_three_columns(self):
+        import tracemalloc
+
+        ids = np.arange(200_000)
+        hash_normal(1, ids[:10])  # warm up outside the measurement
+        tracemalloc.start()
+        try:
+            hash_normal(9, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * ids.nbytes
+
+
+def hash_normal_reference(key: int, ids: np.ndarray) -> np.ndarray:
+    """splitmix64 + Box-Muller written as one expression per step, with
+    a fresh array for each: the definition the in-place code keeps."""
+    def mix(x: np.ndarray) -> np.ndarray:
+        z = x.copy()
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
+
+    with np.errstate(over="ignore"):
+        base = np.asarray(ids, dtype=np.uint64) + np.uint64(
+            (key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        )
+        h1 = mix(base)
+        h2 = mix(base + np.uint64(0x632BE59BD9B4E019))
+    u1 = (h1 >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    u2 = (h2 >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    u1 = np.clip(u1, 1e-12, 1.0)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
 
 class TestDiurnalProfile:
     def test_peak_normalized(self):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.categories import Categories
 from repro.core.planner import (
@@ -149,9 +151,26 @@ class TestSwitcher:
 
     def test_set_plan_resets_counts(self):
         sw = make_switcher()
-        sw.counts[0, 0] = 5
+        for c in (0, 1, 1):
+            sw.choose(c, lambda k, p: True)
+        assert sw.counts.shape == (3, 2)
+        assert sw.counts.sum(axis=0).tolist() == [1.0, 2.0]
         sw.set_plan(np.full((3, 2), 1 / 3))
         assert sw.counts.sum() == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_set_plan_rejects_non_finite(self, bad):
+        sw = make_switcher()
+        alpha = np.full((3, 2), 1 / 3)
+        alpha[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sw.set_plan(alpha)
+
+    def test_set_plan_accepts_lp_round_off(self):
+        sw = make_switcher()
+        alpha = np.array([[-1e-12, 0.5], [1.0, 0.5], [1e-12, 0.0]])
+        sw.set_plan(alpha)
+        assert sw.pick_config(0) == 1
 
     def test_set_plan_shape_validated(self):
         sw = make_switcher()
@@ -207,3 +226,77 @@ class TestSwitcher:
         assert order[0] == 1
         # only less-qualitative configs follow
         assert order == [1, 0]
+
+
+# Reference equality: the switcher's plain-float steps against the array
+# expressions they replace.  Centers and plans are drawn from small
+# fractions so that ties (duplicate centers, equal distances, deficits of
+# exactly zero) are frequent.
+grid_floats = st.tuples(st.integers(0, 12), st.integers(1, 12)).map(
+    lambda t: min(t) / t[1]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n_c: st.tuples(
+            st.lists(
+                st.lists(grid_floats | st.floats(0.0, 1.0),
+                         min_size=3, max_size=3),
+                min_size=n_c, max_size=n_c,
+            ),
+            st.integers(min_value=0, max_value=2),
+            st.sampled_from(["center", "midpoint", "free"]),
+            st.floats(-0.5, 1.5),
+            st.integers(min_value=0, max_value=n_c - 1),
+            st.integers(min_value=0, max_value=n_c - 1),
+        )
+    )
+)
+def test_classify_equals_classify_1d(case):
+    centers, k, where, free_q, a, b = case
+    cats = Categories(centers=np.array(centers))
+    col = cats.centers[:, k]
+    q = {"center": col[a], "midpoint": (col[a] + col[b]) / 2,
+         "free": free_q}[where]
+    sw = KnobSwitcher(cats, [[1.0]] * 3)
+    sw.k_cur = k
+    assert sw.classify(float(q)) == int(cats.classify_1d(k, q)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10).flatmap(
+        lambda n_k: st.tuples(
+            st.lists(st.lists(st.integers(0, 12), min_size=3, max_size=3),
+                     min_size=n_k, max_size=n_k),
+            st.lists(st.lists(grid_floats, min_size=3, max_size=3),
+                     min_size=n_k, max_size=n_k),
+            st.booleans(),
+        )
+    )
+)
+def test_pick_config_equals_argmax_deficit(case):
+    """Eq. 6 against ``argmax(alpha[:, c] - counts[:, c] / total)``.
+    With ``realized``, the plan equals the realized frequencies, so every
+    deficit is zero up to how it is rounded."""
+    count_rows, alpha_rows, realized = case
+    n_k = len(count_rows)
+    counts = np.array(count_rows, dtype=float)
+    total = counts.sum(axis=0)
+    if realized:
+        alpha = np.divide(counts, total, out=np.zeros_like(counts),
+                          where=total > 0)
+    else:
+        alpha = np.array(alpha_rows)
+    cats = Categories(centers=np.tile(np.arange(n_k, dtype=float), (3, 1)))
+    sw = KnobSwitcher(cats, [[1.0]] * n_k)
+    sw.set_plan(alpha)
+    for (k, c), m in np.ndenumerate(counts):
+        for _ in range(int(m)):
+            sw._record(k, c)  # the usage bookkeeping of choose
+    np.testing.assert_array_equal(sw.counts, counts)
+    for c in range(3):
+        hat = counts[:, c] / total[c] if total[c] > 0 else np.zeros(n_k)
+        assert sw.pick_config(c) == int(np.argmax(alpha[:, c] - hat))

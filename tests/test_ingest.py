@@ -1,8 +1,12 @@
 """Tests for the online ingestion simulator (Section 4 + Appendix M)."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.ingest import (
     SegmentQueue,
@@ -61,6 +65,145 @@ class TestSegmentQueue:
         # backlog at the end is zero: ready caught up with arrivals
         assert q.ready <= 201 * 2.0 + 1e-9
         assert q.peak == peak_mid  # peak not exceeded while draining
+
+
+class ReferenceQueue:
+    """The buffer accounting as one backlog formula, evaluated per call:
+    the definition ``SegmentQueue``'s precomputed fast path keeps."""
+
+    def __init__(self, seg_len, seg_bytes, buffer_bytes):
+        self.seg_len = seg_len
+        self.n = len(seg_bytes)
+        self.cum = np.concatenate([[0.0], np.cumsum(seg_bytes)])
+        self.buffer_bytes = buffer_bytes
+        self.ready = 0.0
+        self.peak = 0.0
+        self.overflowed = False
+
+    def backlog_bytes(self, i, finish):
+        captured = min(self.n, int(math.floor(finish / self.seg_len)))
+        if captured <= i + 1:
+            return 0.0
+        return self.cum[captured] - self.cum[i + 1]
+
+    def would_overflow(self, i, runtime, headroom=1.0):
+        start = max((i + 1) * self.seg_len, self.ready)
+        return (
+            self.backlog_bytes(i, start + runtime)
+            > headroom * self.buffer_bytes
+        )
+
+    def step(self, i, runtime):
+        start = max((i + 1) * self.seg_len, self.ready)
+        finish = start + runtime
+        backlog = self.backlog_bytes(i, finish)
+        if backlog > self.buffer_bytes + 1e-6:
+            self.overflowed = True
+        self.peak = max(self.peak, backlog)
+        self.ready = finish
+        return finish
+
+
+# segment sizes: zeros (plateaus in the cumulative sum), MOSEI-like
+# bitrate x integer stream counts, and floats with full mantissas (whose
+# sums and differences round)
+seg_size = st.one_of(
+    st.just(0.0),
+    st.integers(1, 62).map(lambda m: 17_500.0 * m),
+    st.integers(1, 10**9).map(lambda m: m / 7919.0),
+    st.floats(0.0, 1e5),
+)
+# one segment's runtime: free, or ending on a capture boundary (up to a
+# few segments past the last one) or one ulp either side of it
+runtime = st.one_of(
+    st.tuples(st.just("free"), st.floats(0.0, 6.0), st.just(0)),
+    st.tuples(st.just("boundary"), st.integers(-2, 45),
+              st.sampled_from([-1, 0, 1])),
+)
+# the buffer: none, some segments' worth, unbounded, or exactly the bytes
+# of segments [a, b), so a backlog can equal the capacity to the bit
+buffer = st.one_of(
+    st.tuples(st.just("segments"), st.floats(0.0, 12.0), st.just(0)),
+    st.tuples(st.just("inf"), st.just(math.inf), st.just(0)),
+    st.tuples(st.just("exact"), st.integers(0, 40), st.integers(0, 40)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seg_len=st.sampled_from([2.0, 7.0, 0.3, 1 / 3]),
+    seg_bytes=st.lists(seg_size, min_size=1, max_size=30),
+    buffer=buffer,
+    headroom=st.floats(0.05, 1.5),
+    plan=st.lists(st.tuples(runtime, st.floats(0.0, 3.0), st.booleans()),
+                  min_size=30, max_size=30),
+)
+def test_queue_equals_reference_formula(seg_len, seg_bytes, buffer,
+                                        headroom, plan):
+    """``would_overflow`` at every capture boundary (and one ulp either
+    side) up to two segments past the last, then ``step``: the same
+    answers, peak, overflow flag and ready time as the formula."""
+    n = len(seg_bytes)
+    kind, x, y = buffer
+    if kind == "exact":
+        cum = np.concatenate([[0.0], np.cumsum(seg_bytes)])
+        a, b = sorted((min(x, n), min(y, n)))
+        buffer_bytes = float(cum[b] - cum[a])
+    else:
+        buffer_bytes = x * 350_000.0
+    fast = SegmentQueue(seg_len, np.array(seg_bytes), buffer_bytes)
+    ref = ReferenceQueue(seg_len, np.array(seg_bytes), buffer_bytes)
+
+    def runtime_to(i, finish):
+        return max(0.0, float(finish) - max((i + 1) * seg_len, ref.ready))
+
+    for i in range(n):
+        (kind, value, ulps), delay, delayed = plan[i]
+        if delayed:  # a profiling pass delays the queue, as Chameleon's
+            fast.ready += delay * seg_len
+            ref.ready += delay * seg_len
+        for c in range(i + 1, n + 3):
+            f = c * seg_len
+            for finish in (np.nextafter(f, -math.inf), f,
+                           np.nextafter(f, math.inf)):
+                rt = runtime_to(i, finish)
+                for h in (1.0, 0.9, headroom):
+                    assert fast.would_overflow(i, rt, headroom=h) == \
+                        ref.would_overflow(i, rt, headroom=h), (i, rt, h)
+        if kind == "free":
+            rt = value * seg_len
+        else:  # finish at capture count i + 1 + value, nudged by ulps
+            finish = (i + 1 + value) * seg_len
+            rt = runtime_to(i, np.nextafter(finish, math.inf * ulps)
+                            if ulps else finish)
+        assert fast.step(i, rt) == ref.step(i, rt)
+        assert (fast.peak, fast.overflowed, fast.ready) == \
+            (ref.peak, ref.overflowed, ref.ready)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seg_len=st.sampled_from([2.0, 7.0, 0.3]),
+    seg_bytes=st.lists(seg_size, min_size=1, max_size=24),
+)
+def test_queue_capacity_equal_to_a_backlog(seg_len, seg_bytes):
+    """A buffer of exactly the bytes of segments [a, b), probed on
+    segment a - 1 finishing at capture b (and one ulp either side): the
+    case where ``cum[b] - cum[a] > capacity`` and ``cum[b] > cum[a] +
+    capacity`` can round apart."""
+    n = len(seg_bytes)
+    cum = np.concatenate([[0.0], np.cumsum(seg_bytes)])
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            buffer_bytes = float(cum[b] - cum[a])
+            fast = SegmentQueue(seg_len, np.array(seg_bytes), buffer_bytes)
+            ref = ReferenceQueue(seg_len, np.array(seg_bytes), buffer_bytes)
+            f = b * seg_len
+            for finish in (np.nextafter(f, -math.inf), f,
+                           np.nextafter(f, math.inf)):
+                rt = max(0.0, float(finish) - a * seg_len)
+                assert fast.would_overflow(a - 1, rt) == \
+                    ref.would_overflow(a - 1, rt), (a, b, rt)
 
 
 class TestPlacementTables:

@@ -3,10 +3,12 @@
 Usage (from anywhere)::
 
     python3 benchmarks/ledger.py --pr 7 [--root <checkout>] [--out BENCH_7.json]
+    python3 benchmarks/ledger.py --pr 11 --parent <commit> [--pairs 10]
+        [--table2-pairs 5] [--out BENCH_11.json]
 
-It measures the checkout at ``--root`` (default: this repository) and
-records, in ``BENCH_<pr>.json`` at that root unless ``--out`` says
-otherwise:
+Without ``--parent`` it measures the checkout at ``--root`` (default:
+this repository) and records, in ``BENCH_<pr>.json`` at that root unless
+``--out`` says otherwise:
 
 - perfbench ``--trace 0`` on every workload of ``BENCHMARK.json`` over
   the seeds in ``SEEDS``: each end-to-end metric's per-run values,
@@ -19,6 +21,18 @@ otherwise:
 - the Tier-1 suite's wall time and pass/fail counts;
 - ``nproc``, memory, the commit and ``cpu_steal_share`` as perfbench
   reports them.
+
+With ``--parent`` it exports that commit with ``git archive`` and runs
+perfbench ``--trace 0`` on every workload of ``BENCHMARK.json`` in
+pairs: the parent and ``--root`` on the same seed, the side that goes
+first alternating, the seeds cycling through ``SEEDS``.  Per workload it
+records every pair's values and the per-pair ratio (change / parent) of
+each end-to-end metric, and per metric both sides' median and Q1-Q3,
+the median ratio and the pairs the change won and lost (ties count for
+neither).  With ``--table2-pairs`` it also times the full-scale
+``jobs/run_table2.py`` in pairs and records both CSV digests.  Both
+sides' ``src_sha256`` (perfbench's digest of ``src/**/*.py``) names
+what was measured.
 
 It reads perfbench's stdout only and changes neither ``perfbench/`` nor
 ``BENCHMARK.json``.  Runs are sequential, one process tree at a time.
@@ -105,8 +119,7 @@ def summarize_runs(runs: list[dict]) -> dict:
     }
 
 
-def table2_full(root: str, work: str) -> dict:
-    csv = os.path.join(work, "table2.csv")
+def table2_full(root: str, csv: str) -> dict:
     t0 = time.perf_counter()
     p = subprocess.run([sys.executable, "jobs/run_table2.py", "--out", csv],
                        cwd=root, env=env_for(root), capture_output=True,
@@ -146,12 +159,111 @@ def tier1(root: str) -> dict:
             "summary": tail}
 
 
+def src_sha256(root: str) -> str:
+    """perfbench's digest of a plain export: ``src/**/*.py`` paths and
+    bytes, in sorted order."""
+    h = hashlib.sha256()
+    for dirpath, dirnames, files in sorted(os.walk(os.path.join(root, "src"))):
+        dirnames.sort()
+        for f in sorted(files):
+            if f.endswith(".py"):
+                p = os.path.join(dirpath, f)
+                h.update(os.path.relpath(p, root).encode())
+                with open(p, "rb") as fh:
+                    h.update(fh.read())
+    return h.hexdigest()[:16]
+
+
+def export(commit: str, repo: str, dest: str) -> str:
+    """``git archive`` of ``commit`` unpacked at ``dest``; the full hash."""
+    sha = subprocess.run(["git", "rev-parse", commit], cwd=repo, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    os.makedirs(dest)
+    archive = subprocess.run(["git", "archive", sha], cwd=repo, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+    return sha
+
+
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    """Both sides' quartiles, the per-pair ratios change / parent, their
+    median and the pairs the change won."""
+    ratios = [c / p if p else None for p, c in zip(parent, change)]
+    sign = 1 if better == "lower" else -1
+    return {
+        "parent": quartiles(parent),
+        "change": quartiles(change),
+        "ratios": ratios,
+        "median_ratio": quartiles([r for r in ratios if r is not None])[
+            "median"],
+        "wins": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+        "losses": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        "pairs": len(parent),
+    }
+
+
+def alternate(n: int):
+    """Pair ``j``'s order: the parent goes first on even ``j``."""
+    for j in range(n):
+        yield j, ("parent", "change") if j % 2 == 0 else ("change", "parent")
+
+
+def paired(args, root: str, spec: dict, work: str) -> dict:
+    trees = {"parent": os.path.join(work, "parent"), "change": root}
+    commit = export(args.parent, root, trees["parent"])
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    ledger: dict = {
+        "pr": args.pr, "parent": commit, "run_seconds": spec["run_seconds"],
+        "src_sha256": {side: src_sha256(t) for side, t in trees.items()},
+        "paired": {}}
+    for w in (w["name"] for w in spec["workloads"]):
+        pairs = []
+        for j, order in alternate(args.pairs):
+            seed = SEEDS[j % len(SEEDS)]
+            pair: dict = {"seed": seed, "first": order[0]}
+            for side in order:
+                r = perfbench(trees[side], w, seed, spec["run_seconds"], 0)
+                res = r["result"] or {}
+                pair[side] = {
+                    "correct": bool(res.get("correct")),
+                    "failed_ops": res.get("failed"),
+                    "metrics": {k: m["value"] for k, m in
+                                res.get("metrics", {}).items()},
+                    "cpu_steal_share": r["env"].get("cpu_steal_share")}
+            print(f"{w} pair {j}: {pair['parent']['metrics']} -> "
+                  f"{pair['change']['metrics']}", flush=True)
+            pairs.append(pair)
+        ok = [p for p in pairs if p["parent"]["metrics"]
+              and p["change"]["metrics"]]
+        ledger["paired"][w] = {"pairs": pairs, "metrics": {
+            name: compare([p["parent"]["metrics"][name] for p in ok],
+                          [p["change"]["metrics"][name] for p in ok], b)
+            for name, b in better.items()}}
+    if args.table2_pairs:
+        pairs = []
+        for j, order in alternate(args.table2_pairs):
+            pair = {"first": order[0]}
+            for side in order:
+                csv = os.path.join(work, f"table2-{side}-{j}.csv")
+                pair[side] = table2_full(trees[side], csv)
+            print(f"table2 full pair {j}: {pair}", flush=True)
+            pairs.append(pair)
+        ok = [p for p in pairs if p["parent"]["exit"] == 0 == p["change"]["exit"]]
+        ledger["table2_full"] = {"pairs": pairs, "wall_s": compare(
+            [p["parent"]["wall_s"] for p in ok],
+            [p["change"]["wall_s"] for p in ok], "lower")}
+    return ledger
+
+
 def main(argv=None) -> int:
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--root", default=here)
     ap.add_argument("--out", default=None)
+    ap.add_argument("--parent", help="commit to pair against --root")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--table2-pairs", type=int, default=0)
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     with open(os.path.join(root, "BENCHMARK.json")) as f:
@@ -161,6 +273,13 @@ def main(argv=None) -> int:
     work = os.path.join(root, ".ledger_work")
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work)
+    out = args.out or os.path.join(root, f"BENCH_{args.pr}.json")
+    if args.parent:
+        with open(out, "w") as f:
+            json.dump(paired(args, root, spec, work), f, indent=1,
+                      sort_keys=True)
+        print(out)
+        return 0
 
     ledger: dict = {"pr": args.pr, "seeds": list(SEEDS),
                     "run_seconds": seconds, "trace0": {}, "trace1": {}}
@@ -180,7 +299,7 @@ def main(argv=None) -> int:
                        (r["result"] or {}).get("metrics", {}).items()},
         }
         print(f"trace1 {w}: {ledger['trace1'][w]['correct']}", flush=True)
-    ledger["table2_full"] = table2_full(root, work)
+    ledger["table2_full"] = table2_full(root, os.path.join(work, "table2.csv"))
     print(f"table2 full: {ledger['table2_full']}", flush=True)
     ledger["tier1"] = tier1(root)
     print(f"tier1: {ledger['tier1']['summary']}", flush=True)
@@ -194,7 +313,6 @@ def main(argv=None) -> int:
             (e["cpu_steal_share"] for e in envs
              if e.get("cpu_steal_share") is not None), default=None),
     }
-    out = args.out or os.path.join(root, f"BENCH_{args.pr}.json")
     with open(out, "w") as f:
         json.dump(ledger, f, indent=1, sort_keys=True)
     print(out)

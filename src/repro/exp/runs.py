@@ -8,16 +8,18 @@ hardware or method variant:
 - a Skyscraper cell needs the :class:`~repro.core.fit.Fitted` of its fit
   key ``(workload, seed, train_days, n_categories)``;
 - a baseline cell needs the :class:`TrainingSide` of its training key
-  ``(workload, seed, train_days)``.
+  ``(workload, seed, train_days)``, of which it computes only the parts
+  its method reads.
 
-A sweep builds every artifact once (:func:`build_artifacts`, or one
-:func:`build_artifact` per Spark task) and hands each cell its artifact
-in ``params["artifact"]``; ``run_one`` without one builds its own.  A
-cell then generates only its test trace.
+A sweep builds each key's artifact once (:func:`build_artifact`, in the
+task that runs the key's cells) and hands each cell its artifact in
+``params["artifact"]``; ``run_one`` without one builds its own.  A cell
+then generates only its test trace.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.baselines.chameleon import run_chameleon
 from repro.baselines.optimum import run_optimum
@@ -44,17 +46,33 @@ METHODS = ("skyscraper", "static", "chameleon", "videostorm", "optimum")
 
 @dataclass(frozen=True)
 class TrainingSide:
-    """What the baseline cells learn from one training trace."""
+    """What the baseline cells learn from one training trace.  Each part
+    is computed on first read and kept, so a cell pays only for the parts
+    its method reads and cells sharing the object share the work."""
 
-    configs: list[Config]  # fit step 1's filtered set
-    peak_mult: float  # Static's feasibility multiplier
-    mean_q: dict[Config, float]  # mean training quality, every config
+    wl: Workload
+    train: ContentTrace
+    seed: int
 
-    def static_config(self, wl: Workload, cluster: Cluster) -> Config:
+    @cached_property
+    def configs(self) -> list[Config]:  # fit step 1's filtered set
+        return filter_knob_configs(self.wl, self.train, seed=self.seed)
+
+    @cached_property
+    def peak_mult(self) -> float:  # Static's feasibility multiplier
+        return peak_multiplier(self.train)
+
+    @cached_property
+    def mean_q(self) -> dict[Config, float]:  # training quality, every config
+        every = self.wl.all_configs()
+        q = self.wl.mean_quality(every, self.train)
+        return dict(zip(every, q.tolist()))
+
+    def static_config(self, cluster: Cluster) -> Config:
         """``best_static_config`` on the training trace; only the
         feasibility filter depends on the cluster."""
-        feasible = feasible_configs(wl, cluster, self.peak_mult)
-        return most_qualitative(wl, feasible, self.mean_q)
+        feasible = feasible_configs(self.wl, cluster, self.peak_mult)
+        return most_qualitative(self.wl, feasible, self.mean_q)
 
 
 def artifact_key(params: dict) -> tuple:
@@ -93,24 +111,7 @@ def build_artifact(key: tuple, train: ContentTrace | None = None):
             in_days=plan_days,
             trace=train,
         )
-    every = wl.all_configs()
-    return TrainingSide(
-        configs=filter_knob_configs(wl, train, seed=seed),
-        peak_mult=peak_multiplier(train),
-        mean_q=dict(zip(every, wl.mean_quality(every, train).tolist())),
-    )
-
-
-def build_artifacts(keys) -> dict:
-    """Artifact per distinct key, generating each training trace once."""
-    by_train: dict[tuple, list[tuple]] = {}
-    for k in dict.fromkeys(keys):
-        by_train.setdefault(k[:3], []).append(k)
-    out = {}
-    for (workload, seed, train_days), group in by_train.items():
-        train = get_workload(workload).content(seed=seed, n_days=train_days)
-        out.update((k, build_artifact(k, train)) for k in group)
-    return out
+    return TrainingSide(wl, train, seed)
 
 
 def run_one(params: dict) -> dict:
@@ -152,7 +153,7 @@ def run_one(params: dict) -> dict:
     elif method == "static":
         res = run_static(
             wl, cluster, test, None, seed=seed,
-            config=art.static_config(wl, cluster),
+            config=art.static_config(cluster),
         )
     elif method == "chameleon":
         res = run_chameleon(

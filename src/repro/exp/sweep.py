@@ -1,75 +1,72 @@
-"""Spark-parallel experiment sweeps, in two stages.
+"""Spark-parallel experiment sweeps: one task per offline artifact.
 
 A table is a grid of independent simulation cells whose offline work is
-shared: every cell with the same ``runs.artifact_key`` needs the same
-fitted model or training-side ranking (the paper's offline phase runs
-once per source, the online phase many times).
-
-1. Stage 1 builds each distinct artifact once, one Spark task per key.
-   Fit keys and training-side keys are separate tasks, so a workload's
-   fit and its baseline ranking run side by side; each task generates
-   its own training trace.
-2. Stage 2 broadcasts the artifacts and runs the cells, exactly one per
-   task; a cell generates only its test trace.
-
-Parameter dicts and artifacts travel pickled; result rows travel as
-JSON.  ``run_grid_local`` runs the same two stages serially in-process,
-generating each training trace once.
+shared: cells with the same ``runs.artifact_key`` need the same fitted
+model or training side (the paper's offline phase runs once per source,
+the online phase many times).  A sweep runs one Spark job with one task
+per key: the task builds the key's artifact from its own training trace,
+then runs the key's cells in grid order, each generating only its test
+trace, so no cell waits for another key's artifact.  Rows travel back
+as JSON with their grid index, and the driver restores grid order.
+``run_grid_local`` runs the same groups serially in-process, generating
+each training trace once for all keys that share it.
 """
 from __future__ import annotations
 
 import json
 
 import pandas as pd
-from pyspark import RDD, SparkContext
 from pyspark.sql import SparkSession
+
+from repro.exp import runs
+from repro.workloads import get_workload
+
+
+def group_cells(grid: list[dict]) -> dict[tuple, list[int]]:
+    """Grid indices of each distinct artifact key, in grid order; keys in
+    order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for i, params in enumerate(grid):
+        groups.setdefault(runs.artifact_key(params), []).append(i)
+    return groups
+
+
+def run_group(key: tuple, cells: list[dict], train=None) -> list[dict]:
+    """Rows of ``cells``, which all have artifact ``key``, in order; the
+    artifact is built once, from ``train`` when the caller has it."""
+    art = runs.build_artifact(key, train)
+    # looked up per call, so a wrapper installed on the module sees every cell
+    return [runs.run_one({**params, "artifact": art}) for params in cells]
 
 
 def run_grid_local(grid: list[dict]) -> pd.DataFrame:
-    from repro.exp.runs import artifact_key, build_artifacts, run_one
-
-    keys = [artifact_key(g) for g in grid]
-    arts = build_artifacts(keys)
-    return pd.DataFrame(
-        [run_one({**g, "artifact": arts[k]}) for g, k in zip(grid, keys)]
-    )
-
-
-def one_per_partition(sc: SparkContext, items: list) -> RDD:
-    """``items`` in order, exactly one per partition (hence per task)."""
-    return sc.parallelize(items, len(items))
+    groups = group_cells(grid)
+    rows: list = [None] * len(grid)
+    for name in dict.fromkeys(key[:3] for key in groups):
+        workload, seed, train_days = name
+        train = get_workload(workload).content(seed=seed, n_days=train_days)
+        for key in (k for k in groups if k[:3] == name):
+            idx = groups[key]
+            for i, row in zip(idx, run_group(key, [grid[i] for i in idx], train)):
+                rows[i] = row
+    return pd.DataFrame(rows)
 
 
 def run_grid_spark(spark: SparkSession, grid: list[dict]) -> pd.DataFrame:
-    """Run every grid cell as its own Spark task after building the
-    shared artifacts; returns all rows, in grid order."""
-    from repro.exp.runs import artifact_key
-
+    """Run the grid as one Spark task per artifact key; returns all rows,
+    in grid order."""
     if not grid:
         return pd.DataFrame()
-    sc = spark.sparkContext
-    keys = [artifact_key(g) for g in grid]
+    groups = list(group_cells(grid).items())
 
-    def build(key):
-        from repro.exp.runs import build_artifact
+    def task(group):
+        key, idx = group
+        rows = run_group(key, [grid[i] for i in idx])
+        return [(i, json.dumps(row, default=float)) for i, row in zip(idx, rows)]
 
-        return key, build_artifact(key)
-
-    built = one_per_partition(sc, list(dict.fromkeys(keys))).map(build)
-    arts = sc.broadcast(dict(built.collect()))
-
-    def cell(item):
-        from repro.exp.runs import run_one
-
-        params, key = item
-        row = run_one({**params, "artifact": arts.value[key]})
-        return json.dumps(row, default=float)
-
-    try:
-        rows = one_per_partition(sc, list(zip(grid, keys))).map(cell).collect()
-    finally:
-        arts.destroy()
-    return pd.DataFrame([json.loads(r) for r in rows])
+    # one key per partition, hence per task
+    pairs = spark.sparkContext.parallelize(groups, len(groups)).flatMap(task)
+    return pd.DataFrame([json.loads(row) for _, row in sorted(pairs.collect())])
 
 
 def run_grid(grid: list[dict], spark: SparkSession | None = None) -> pd.DataFrame:

@@ -27,6 +27,30 @@ MIXED = [
         ("skyscraper", 4), ("static", 4), ("skyscraper", 8), ("chameleon", 8)
     )
 ]
+# two fit keys (n_categories None and 2) interleaved with one training key
+INTERLEAVED = [
+    MIXED[0], MIXED[1], {**MIXED[0], "n_categories": 2},
+    MIXED[2], MIXED[3], {**MIXED[2], "n_categories": 2},
+]
+
+
+@pytest.fixture(scope="module")
+def interleaved_spark(spark):
+    """INTERLEAVED through ``run_grid_spark`` in its own job group: the
+    rows, and the task count of every stage the grid ran."""
+    sc = spark.sparkContext
+    sc.setJobGroup("interleaved-grid", "INTERLEAVED")
+    try:
+        df = run_grid_spark(spark, INTERLEAVED)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    st = sc.statusTracker()
+    tasks = [
+        st.getStageInfo(stage).numTasks
+        for job in st.getJobIdsForGroup("interleaved-grid")
+        for stage in st.getJobInfo(job).stageIds
+    ]
+    return df, tasks
 
 
 class TestRunOne:
@@ -83,12 +107,11 @@ class TestSweep:
     def test_empty_grid(self, spark):
         assert run_grid_spark(spark, []).empty
 
-    def test_two_stage_spark_equals_local(self, spark):
-        local = run_grid_local(MIXED)
-        dist = run_grid_spark(spark, MIXED)
-        key = ["workload", "method", "vcpus"]
-        want = [(g["workload"], g["method"], g["vcpus"]) for g in MIXED]
-        assert list(dist[key].itertuples(index=False, name=None)) == want
+    def test_interleaved_keys_spark_equals_local(self, interleaved_spark):
+        dist, _ = interleaved_spark
+        key = ["workload", "method", "vcpus", "n_categories"]
+        pd.testing.assert_frame_equal(dist[key], pd.DataFrame(INTERLEAVED)[key])
+        local = run_grid_local(INTERLEAVED)
         pd.testing.assert_frame_equal(dist, local, check_exact=True)
 
     def test_local_builds_each_artifact_once(self, monkeypatch):
@@ -115,13 +138,25 @@ class TestSweep:
         assert fits == {("covid", 0, 1.0, None): 1, ("covid", 0, 1.0, 2): 1}
         assert trains == {("covid", 0, 1.0): 1}
 
-    def test_one_cell_per_partition(self, spark):
-        """Stage 2 gives each of the 51 Table-2 cells its own task."""
-        from repro.exp.sweep import one_per_partition
+    def test_one_task_per_artifact_key(self, interleaved_spark, monkeypatch):
+        """The grid is one stage of one task per distinct key, and a key's
+        cells run in grid order (the Spark task and ``run_grid_local``
+        share ``sweep.run_group``)."""
+        from repro.exp import runs
 
-        grid = build_grid()
-        parts = one_per_partition(spark.sparkContext, grid).glom().collect()
-        assert parts == [[g] for g in grid]
+        _, tasks = interleaved_spark
+        assert tasks == [3]
+        order = []
+        run = runs.run_one
+
+        def recorded(params):
+            order.append(INTERLEAVED.index(
+                {k: v for k, v in params.items() if k != "artifact"}))
+            return run(params)
+
+        monkeypatch.setattr(runs, "run_one", recorded)
+        run_grid_local(INTERLEAVED)
+        assert order == [0, 3, 1, 4, 2, 5]
 
 
 class TestTable2:

@@ -3,8 +3,7 @@
 Usage (from anywhere)::
 
     python3 benchmarks/ledger.py --pr 7 [--root <checkout>] [--out BENCH_7.json]
-    python3 benchmarks/ledger.py --pr 11 --parent <commit> [--pairs 10]
-        [--table2-pairs 5] [--out BENCH_11.json]
+    python3 benchmarks/ledger.py --pr 11 --parent <commit> [--out BENCH_11.json]
 
 Without ``--parent`` it measures the checkout at ``--root`` (default:
 this repository) and records, in ``BENCH_<pr>.json`` at that root unless
@@ -19,20 +18,19 @@ this repository) and records, in ``BENCH_<pr>.json`` at that root unless
   the CSV it wrote (kept as ``.ledger_work/table2.csv``), so two ledgers
   show whether the table moved;
 - the Tier-1 suite's wall time and pass/fail counts;
-- ``nproc``, memory, the commit and ``cpu_steal_share`` as perfbench
+- ``nproc``, memory, ``src_sha256`` and ``cpu_steal_share`` as perfbench
   reports them.
 
 With ``--parent`` it exports that commit with ``git archive`` and runs
 perfbench ``--trace 0`` on every workload of ``BENCHMARK.json`` in
-pairs: the parent and ``--root`` on the same seed, the side that goes
-first alternating, the seeds cycling through ``SEEDS``.  Per workload it
-records every pair's values and the per-pair ratio (change / parent) of
-each end-to-end metric, and per metric both sides' median and Q1-Q3,
-the median ratio and the pairs the change won and lost (ties count for
-neither).  With ``--table2-pairs`` it also times the full-scale
-``jobs/run_table2.py`` in pairs and records both CSV digests.  Both
-sides' ``src_sha256`` (perfbench's digest of ``src/**/*.py``) names
-what was measured.
+``PAIRS`` pairs: the parent and ``--root`` on the same seed, the side
+that goes first alternating, the seeds cycling through ``SEEDS``.  Per
+workload it records every pair's values and the per-pair ratio
+(change / parent) of each end-to-end metric, and per metric both sides'
+median and Q1-Q3, the median ratio and the pairs the change won and
+lost (ties count for neither).  It also times the full-scale
+``jobs/run_table2.py`` in ``TABLE2_PAIRS`` pairs and records both CSV
+digests, and both sides' ``src_sha256`` as perfbench reports it.
 
 It reads perfbench's stdout only and changes neither ``perfbench/`` nor
 ``BENCHMARK.json``.  Runs are sequential, one process tree at a time.
@@ -52,6 +50,8 @@ import sys
 import time
 
 SEEDS = (0, 1, 2, 3, 4)
+PAIRS = 10  # perfbench pairs per workload with --parent
+TABLE2_PAIRS = 5  # full-scale jobs/run_table2.py pairs with --parent
 TRACE_SEED = 0
 # the Tier-1 command of ROADMAP.md, without its outer timeout
 TIER1 = [sys.executable, "-m", "pytest", "tests/", "-q",
@@ -77,12 +77,17 @@ def env_for(root: str) -> dict:
 
 def perfbench(root: str, workload: str, seed: int, seconds: float,
               trace: int) -> dict:
-    """One perfbench run; its env line, report lines and final JSON line."""
+    """One perfbench run; its env line, report lines and final JSON line.
+    Git is hidden from perfbench, so its env line names the tree by its
+    ``src_sha256`` (its digest of ``src/**/*.py``): a commit would name an
+    export by the repository around it, and an uncommitted change not at
+    all."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
+    env = dict(env_for(root), GIT_DIR=os.devnull)
     t0 = time.perf_counter()
-    p = subprocess.run(cmd, cwd=root, env=env_for(root), capture_output=True,
+    p = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
                        text=True)
     wall = time.perf_counter() - t0
     lines = p.stdout.splitlines()
@@ -159,21 +164,6 @@ def tier1(root: str) -> dict:
             "summary": tail}
 
 
-def src_sha256(root: str) -> str:
-    """perfbench's digest of a plain export: ``src/**/*.py`` paths and
-    bytes, in sorted order."""
-    h = hashlib.sha256()
-    for dirpath, dirnames, files in sorted(os.walk(os.path.join(root, "src"))):
-        dirnames.sort()
-        for f in sorted(files):
-            if f.endswith(".py"):
-                p = os.path.join(dirpath, f)
-                h.update(os.path.relpath(p, root).encode())
-                with open(p, "rb") as fh:
-                    h.update(fh.read())
-    return h.hexdigest()[:16]
-
-
 def export(commit: str, repo: str, dest: str) -> str:
     """``git archive`` of ``commit`` unpacked at ``dest``; the full hash."""
     sha = subprocess.run(["git", "rev-parse", commit], cwd=repo, check=True,
@@ -214,15 +204,16 @@ def paired(args, root: str, spec: dict, work: str) -> dict:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     ledger: dict = {
         "pr": args.pr, "parent": commit, "run_seconds": spec["run_seconds"],
-        "src_sha256": {side: src_sha256(t) for side, t in trees.items()},
         "paired": {}}
+    digests: dict = {side: set() for side in trees}
     for w in (w["name"] for w in spec["workloads"]):
         pairs = []
-        for j, order in alternate(args.pairs):
+        for j, order in alternate(PAIRS):
             seed = SEEDS[j % len(SEEDS)]
             pair: dict = {"seed": seed, "first": order[0]}
             for side in order:
                 r = perfbench(trees[side], w, seed, spec["run_seconds"], 0)
+                digests[side].add(r["env"].get("src_sha256"))
                 res = r["result"] or {}
                 pair[side] = {
                     "correct": bool(res.get("correct")),
@@ -239,19 +230,21 @@ def paired(args, root: str, spec: dict, work: str) -> dict:
             name: compare([p["parent"]["metrics"][name] for p in ok],
                           [p["change"]["metrics"][name] for p in ok], b)
             for name, b in better.items()}}
-    if args.table2_pairs:
-        pairs = []
-        for j, order in alternate(args.table2_pairs):
-            pair = {"first": order[0]}
-            for side in order:
-                csv = os.path.join(work, f"table2-{side}-{j}.csv")
-                pair[side] = table2_full(trees[side], csv)
-            print(f"table2 full pair {j}: {pair}", flush=True)
-            pairs.append(pair)
-        ok = [p for p in pairs if p["parent"]["exit"] == 0 == p["change"]["exit"]]
-        ledger["table2_full"] = {"pairs": pairs, "wall_s": compare(
-            [p["parent"]["wall_s"] for p in ok],
-            [p["change"]["wall_s"] for p in ok], "lower")}
+    # one digest per side unless a tree changed while it was measured
+    ledger["src_sha256"] = {side: sorted(map(str, d))
+                            for side, d in digests.items()}
+    pairs = []
+    for j, order in alternate(TABLE2_PAIRS):
+        pair = {"first": order[0]}
+        for side in order:
+            csv = os.path.join(work, f"table2-{side}-{j}.csv")
+            pair[side] = table2_full(trees[side], csv)
+        print(f"table2 full pair {j}: {pair}", flush=True)
+        pairs.append(pair)
+    ok = [p for p in pairs if p["parent"]["exit"] == 0 == p["change"]["exit"]]
+    ledger["table2_full"] = {"pairs": pairs, "wall_s": compare(
+        [p["parent"]["wall_s"] for p in ok],
+        [p["change"]["wall_s"] for p in ok], "lower")}
     return ledger
 
 
@@ -262,8 +255,6 @@ def main(argv=None) -> int:
     ap.add_argument("--root", default=here)
     ap.add_argument("--out", default=None)
     ap.add_argument("--parent", help="commit to pair against --root")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--table2-pairs", type=int, default=0)
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     with open(os.path.join(root, "BENCHMARK.json")) as f:
@@ -307,7 +298,6 @@ def main(argv=None) -> int:
     ledger["env"] = {
         "nproc": first.get("nproc"),
         "mem_total_gb": first.get("mem_total_gb"),
-        "git_commit": first.get("git_commit"),
         "src_sha256": first.get("src_sha256"),
         "cpu_steal_share_max": max(
             (e["cpu_steal_share"] for e in envs

@@ -8,8 +8,8 @@ hardware or method variant:
 - a Skyscraper cell needs the :class:`~repro.core.fit.Fitted` of its fit
   key ``(workload, seed, train_days, n_categories)``;
 - a baseline cell needs the :class:`TrainingSide` of its training key
-  ``(workload, seed, train_days)``, of which it computes only the parts
-  its method reads.
+  ``(workload, seed, train_days)``, built with only the parts that its
+  cells' methods read (:data:`READS`).
 
 A sweep builds each key's artifact once (:func:`build_artifact`, in the
 task that runs the key's cells) and hands each cell its artifact in
@@ -19,7 +19,6 @@ then generates only its test trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.baselines.chameleon import run_chameleon
 from repro.baselines.optimum import run_optimum
@@ -42,31 +41,20 @@ from repro.workloads.base import Config, Workload
 # planner decides how much of it is actually worth spending.
 CLOUD_BUDGET_PER_VCPU_DAY = 0.1
 METHODS = ("skyscraper", "static", "chameleon", "videostorm", "optimum")
+# the TrainingSide parts each baseline method reads
+READS = {"static": ("peak_mult", "mean_q"), "chameleon": ("configs",),
+         "videostorm": ("configs", "mean_q"), "optimum": ("configs",)}
 
 
 @dataclass(frozen=True)
 class TrainingSide:
-    """What the baseline cells learn from one training trace.  Each part
-    is computed on first read and kept, so a cell pays only for the parts
-    its method reads and cells sharing the object share the work."""
+    """What the baseline cells learn from one training trace.  A part
+    that no method it was built for reads is None."""
 
     wl: Workload
-    train: ContentTrace
-    seed: int
-
-    @cached_property
-    def configs(self) -> list[Config]:  # fit step 1's filtered set
-        return filter_knob_configs(self.wl, self.train, seed=self.seed)
-
-    @cached_property
-    def peak_mult(self) -> float:  # Static's feasibility multiplier
-        return peak_multiplier(self.train)
-
-    @cached_property
-    def mean_q(self) -> dict[Config, float]:  # training quality, every config
-        every = self.wl.all_configs()
-        q = self.wl.mean_quality(every, self.train)
-        return dict(zip(every, q.tolist()))
+    configs: list[Config] | None  # fit step 1's filtered set
+    peak_mult: float | None  # Static's feasibility multiplier
+    mean_q: dict[Config, float] | None  # mean training quality, every config
 
     def static_config(self, cluster: Cluster) -> Config:
         """``best_static_config`` on the training trace; only the
@@ -91,9 +79,11 @@ def artifact_key(params: dict) -> tuple:
     return (workload, seed, train_days)
 
 
-def build_artifact(key: tuple, train: ContentTrace | None = None):
+def build_artifact(key: tuple, train: ContentTrace | None = None,
+                   methods=METHODS):
     """The artifact of one :func:`artifact_key`; ``train`` is the key's
-    training trace when the caller already has it."""
+    training trace when the caller already has it.  A training side gets
+    only the parts that ``methods`` read."""
     workload, seed, train_days = key[:3]
     wl = get_workload(workload)
     if train is None:
@@ -111,7 +101,16 @@ def build_artifact(key: tuple, train: ContentTrace | None = None):
             in_days=plan_days,
             trace=train,
         )
-    return TrainingSide(wl, train, seed)
+    reads = {part for m in methods for part in READS.get(m, ())}
+    every = wl.all_configs()
+    return TrainingSide(
+        wl,
+        configs=(filter_knob_configs(wl, train, seed=seed)
+                 if "configs" in reads else None),
+        peak_mult=peak_multiplier(train) if "peak_mult" in reads else None,
+        mean_q=(dict(zip(every, wl.mean_quality(every, train).tolist()))
+                if "mean_q" in reads else None),
+    )
 
 
 def run_one(params: dict) -> dict:
@@ -121,11 +120,11 @@ def run_one(params: dict) -> dict:
     the cell's :func:`artifact_key`.
     """
     key = artifact_key(params)
+    method = params["method"]
     art = params.get("artifact")
     if art is None:
-        art = build_artifact(key)
+        art = build_artifact(key, methods=(method,))
     workload, seed, train_days = key[:3]
-    method = params["method"]
     vcpus = int(params["vcpus"])
     wl = get_workload(workload)
     test_days = float(params.get("test_days", wl.test_days))

@@ -65,6 +65,23 @@ class TestRunOne:
         assert 0 <= row["quality_pct"] <= 100
         assert row["total_usd"] > 0
 
+    @pytest.mark.parametrize(
+        "method", ["static", "chameleon", "videostorm", "optimum"]
+    )
+    def test_builds_only_what_its_method_reads(self, method):
+        """A standalone cell's training side has only its method's parts,
+        and its row equals the row of a cell given every part."""
+        from repro.exp.runs import READS, artifact_key, build_artifact
+
+        params = {"workload": "covid", "method": method, "vcpus": 8, **TINY}
+        key = artifact_key(params)
+        own = build_artifact(key, methods=(method,))
+        built = {p for p in ("configs", "peak_mult", "mean_q")
+                 if getattr(own, p) is not None}
+        assert built == set(READS[method])
+        assert run_one(params) == run_one(
+            {**params, "artifact": build_artifact(key)})
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             run_one({"workload": "covid", "method": "magic", "vcpus": 4})

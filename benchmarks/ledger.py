@@ -28,9 +28,13 @@ that goes first alternating, the seeds cycling through ``SEEDS``.  Per
 workload it records every pair's values and the per-pair ratio
 (change / parent) of each end-to-end metric, and per metric both sides'
 median and Q1-Q3, the median ratio and the pairs the change won and
-lost (ties count for neither).  It also times the full-scale
-``jobs/run_table2.py`` in ``TABLE2_PAIRS`` pairs and records both CSV
-digests, and both sides' ``src_sha256`` as perfbench reports it.
+lost (ties count for neither).  It also runs ``TRACE_PAIRS`` pairs of
+perfbench ``--trace 1`` per workload on ``TRACE_SEED`` and compares each
+per-layer metric the same way; times each of ``KERNELS``, a program
+kernel called in-process, in ``KERNEL_PAIRS`` pairs; times the
+full-scale ``jobs/run_table2.py`` in ``TABLE2_PAIRS`` pairs and records
+both CSV digests; and records both sides' ``src_sha256`` as perfbench
+reports it.
 
 It reads perfbench's stdout only and changes neither ``perfbench/`` nor
 ``BENCHMARK.json``.  Runs are sequential, one process tree at a time.
@@ -52,7 +56,31 @@ import time
 SEEDS = (0, 1, 2, 3, 4)
 PAIRS = 10  # perfbench pairs per workload with --parent
 TABLE2_PAIRS = 5  # full-scale jobs/run_table2.py pairs with --parent
+# even, so that each side goes first in half of the pairs
+TRACE_PAIRS = 4  # perfbench --trace 1 pairs per workload with --parent
+KERNEL_PAIRS = 6  # pairs per entry of KERNELS with --parent
 TRACE_SEED = 0
+# name -> (set-up, timed statement), run in a fresh interpreter per tree
+_TRAIN = ("from repro.workloads import get_workload\n"
+          "wl = get_workload({!r})\n"
+          "train = wl.content(seed=0, n_days=wl.train_days)\n")
+_FIT_Q = ("from repro.core.categories import quality_vectors_numpy, "
+          "sample_segment_indices\n"
+          "from repro.core.kmeans import kmeans\n"
+          "from repro.core.offline import filter_knob_configs\n"
+          "configs = filter_knob_configs(wl, train, seed=0)\n"
+          "idx = sample_segment_indices(train, sample_frac=0.05, seed=0)\n"
+          "q = quality_vectors_numpy(wl, train, configs, idx, seed=0)\n")
+KERNELS = {
+    "mean_quality_all_configs_covid_16d_s": (
+        _TRAIN.format("covid"), "wl.mean_quality(wl.all_configs(), train)"),
+    "mean_quality_all_configs_mot_16d_s": (
+        _TRAIN.format("mot"), "wl.mean_quality(wl.all_configs(), train)"),
+    "kmeans_fit_covid_seed0_s": (
+        _TRAIN.format("covid") + _FIT_Q, "kmeans(q, 3, seed=0)"),
+    "kmeans_fit_mot_seed0_s": (
+        _TRAIN.format("mot") + _FIT_Q, "kmeans(q, 3, seed=0)"),
+}
 # the Tier-1 command of ROADMAP.md, without its outer timeout
 TIER1 = [sys.executable, "-m", "pytest", "tests/", "-q",
          "--continue-on-collection-errors", "-p", "no:cacheprovider"]
@@ -139,6 +167,16 @@ def table2_full(root: str, csv: str) -> dict:
     return out
 
 
+def kernel(root: str, setup: str, stmt: str) -> float | None:
+    """Seconds of one call of ``stmt`` after ``setup``, in a fresh
+    interpreter on ``root``'s program; None if it failed."""
+    code = (f"import time\n{setup}t0 = time.perf_counter()\n{stmt}\n"
+            "print(time.perf_counter() - t0)\n")
+    p = subprocess.run([sys.executable, "-c", code], cwd=root,
+                       env=env_for(root), capture_output=True, text=True)
+    return float(p.stdout.split()[-1]) if p.returncode == 0 else None
+
+
 def driver_mem() -> str:
     """Half the machine's memory, 2-8 GB, as in ROADMAP.md's command."""
     with open("/proc/meminfo") as f:
@@ -202,9 +240,10 @@ def paired(args, root: str, spec: dict, work: str) -> dict:
     trees = {"parent": os.path.join(work, "parent"), "change": root}
     commit = export(args.parent, root, trees["parent"])
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    layer_better = {m["name"]: m["better"] for m in spec["per_layer"]}
     ledger: dict = {
         "pr": args.pr, "parent": commit, "run_seconds": spec["run_seconds"],
-        "paired": {}}
+        "paired": {}, "traced": {}, "kernels": {}}
     digests: dict = {side: set() for side in trees}
     for w in (w["name"] for w in spec["workloads"]):
         pairs = []
@@ -230,6 +269,40 @@ def paired(args, root: str, spec: dict, work: str) -> dict:
             name: compare([p["parent"]["metrics"][name] for p in ok],
                           [p["change"]["metrics"][name] for p in ok], b)
             for name, b in better.items()}}
+        traced = []
+        for j, order in alternate(TRACE_PAIRS):
+            pair = {"first": order[0]}
+            for side in order:
+                r = perfbench(trees[side], w, TRACE_SEED,
+                              spec["run_seconds"], 1)
+                res = r["result"] or {}
+                pair[side] = {
+                    "correct": bool(res.get("correct")),
+                    "failed_ops": res.get("failed"),
+                    "layers": {k: m["value"] for k, m in
+                               res.get("metrics", {}).items()}}
+            print(f"{w} traced pair {j}: correct "
+                  f"{pair['parent']['correct']} -> {pair['change']['correct']}",
+                  flush=True)
+            traced.append(pair)
+        ok = [p for p in traced if p["parent"]["layers"]
+              and p["change"]["layers"]]
+        ledger["traced"][w] = {"pairs": traced, "layers": {
+            name: compare([p["parent"]["layers"][name] for p in ok],
+                          [p["change"]["layers"][name] for p in ok], b)
+            for name, b in layer_better.items()
+            if ok and name in ok[0]["parent"]["layers"]}}
+    for name, (setup, stmt) in KERNELS.items():
+        pairs = []
+        for j, order in alternate(KERNEL_PAIRS):
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = kernel(trees[side], setup, stmt)
+            pairs.append(pair)
+        print(f"kernel {name}: {pairs}", flush=True)
+        ok = [p for p in pairs if None not in (p["parent"], p["change"])]
+        ledger["kernels"][name] = {"pairs": pairs, "s": compare(
+            [p["parent"] for p in ok], [p["change"] for p in ok], "lower")}
     # one digest per side unless a tree changed while it was measured
     ledger["src_sha256"] = {side: sorted(map(str, d))
                             for side, d in digests.items()}

@@ -158,53 +158,65 @@ class Workload(abc.ABC):
 
     def accuracy_rows(
         self, configs: list[Config], difficulty: np.ndarray
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(i, row)`` for every configuration, ``row`` being the
-        noiseless per-segment accuracy in [0, 1] of ``configs[i]`` on the
-        (n, D) ``difficulty`` matrix: base quality x the product over
-        dimensions of the floored sigmoid of (capability - difficulty)
-        / tau.  Failing on *one* dimension (e.g. occlusions during rush
-        hour) tanks the accuracy, as cheap configurations are "prone to
-        mistakes on difficult inputs"; the floor keeps it from zeroing
-        (a detector that cannot handle occlusions still detects the
-        unoccluded people).  Ground truth and reported quality both
-        scale these rows.
+    ) -> Iterator[tuple[slice, int, np.ndarray]]:
+        """Yield ``(rows, i, acc)``: ``acc`` is the noiseless accuracy in
+        [0, 1] of ``configs[i]`` on the segments ``rows`` of the (n, D)
+        ``difficulty`` matrix: base quality x the product over dimensions
+        of the floored sigmoid of (capability - difficulty) / tau.
+        Failing on *one* dimension (e.g. occlusions during rush hour)
+        tanks the accuracy, as cheap configurations are "prone to
+        mistakes on difficult inputs"; the floor keeps it from zeroing (a
+        detector that cannot handle occlusions still detects the
+        unoccluded people).  Ground truth and reported quality both scale
+        these rows.
 
-        Capabilities take few distinct values per dimension, so the
-        configurations are visited in lexicographic capability order
-        while the running products of the factor columns are kept; a
-        capability that differs from the previous one first at dimension
-        j recomputes only the products from j on.  The factors multiply
-        left to right, so every row is bit-identical to the
-        per-configuration product.  Memory is O(D) columns whatever the
-        number of configurations.
+        The segments are walked in order, in blocks of
+        ``np.getbufsize()`` rows (numpy's reduction buffer, 8192 by
+        default), and each block yields every configuration.  Within a
+        block each (dimension, capability value) factor column is
+        computed once, and the configurations are visited in
+        lexicographic capability order while the running products of
+        the factors are kept, so a capability that differs from the
+        previous one first at dimension j multiplies only from j on.  The
+        factors multiply left to right, so every value is bit-identical
+        to the per-configuration product, and memory is a block's factor
+        columns whatever the length of the trace.
         """
         caps = [tuple(self.capability(c)) for c in configs]
-        prev: tuple = ()
-        prefix: list[np.ndarray] = []  # prefix[d] = factor_0 * ... * factor_d
-        for i in sorted(range(len(configs)), key=caps.__getitem__):
-            cap = caps[i]
-            j = next(
-                (d for d, (a, b) in enumerate(zip(cap, prev)) if a != b),
-                len(prev),
-            )
-            del prefix[j:]
-            for d in range(j, len(cap)):
-                z = (cap[d] - difficulty[:, d]) / self.tau
-                s = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
-                f = self.quality_floor + (1.0 - self.quality_floor) * s
-                prefix.append(prefix[-1] * f if prefix else f)
-            prev = cap
-            yield i, self.base_quality(configs[i]) * prefix[-1]
+        base = [self.base_quality(c) for c in configs]
+        order = sorted(range(len(configs)), key=caps.__getitem__)
+        step = np.getbufsize()
+        for lo in range(0, len(difficulty), step):
+            rows = slice(lo, lo + step)
+            diff = difficulty[rows]
+            factor: dict = {}  # (d, capability value) -> factor column
+            prev: tuple = ()
+            prefix: list[np.ndarray] = []  # prefix[d] = f_0 * ... * f_d
+            for i in order:
+                cap = caps[i]
+                j = next(
+                    (d for d, (a, b) in enumerate(zip(cap, prev)) if a != b),
+                    len(prev),
+                )
+                del prefix[j:]
+                for d in range(j, len(cap)):
+                    f = factor.get((d, cap[d]))
+                    if f is None:
+                        z = (cap[d] - diff[:, d]) / self.tau
+                        s = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+                        f = self.quality_floor + (1.0 - self.quality_floor) * s
+                        factor[d, cap[d]] = f
+                    prefix.append(prefix[-1] * f if prefix else f)
+                prev = cap
+                yield rows, i, base[i] * prefix[-1]
 
     def accuracies(
         self, configs: list[Config], difficulty: np.ndarray
     ) -> np.ndarray:
-        """(K, n) :meth:`accuracy_rows`, row i for ``configs[i]``; the
-        kernel's columns are released on return."""
+        """(K, n) :meth:`accuracy_rows`, row i for ``configs[i]``."""
         out = np.empty((len(configs), len(difficulty)))
-        for i, acc in self.accuracy_rows(configs, difficulty):
-            out[i] = acc
+        for rows, i, acc in self.accuracy_rows(configs, difficulty):
+            out[i, rows] = acc
         return out
 
     def quality_curves(
@@ -219,12 +231,21 @@ class Workload(abc.ABC):
     def mean_quality(
         self, configs: list[Config], trace: ContentTrace
     ) -> np.ndarray:
-        """(K,) mean noiseless quality over the trace, per configuration."""
+        """(K,) mean noiseless quality over the trace, per configuration,
+        bit-identical to ``(mass * acc).mean()`` over the whole trace.
+
+        numpy sums a contiguous 1-D float64 array in chunks of
+        ``np.getbufsize()`` elements: each chunk pairwise, the chunk sums
+        added in order.  :meth:`accuracy_rows` yields blocks of exactly
+        those chunks, so adding each block's ``sum()`` to a running total,
+        block after block, repeats that order without holding a row of
+        the whole trace.
+        """
         mass = self.mass(trace.difficulty, trace.work_multiplier)
-        out = np.empty(len(configs))
-        for i, acc in self.accuracy_rows(configs, trace.difficulty):
-            out[i] = (mass * acc).mean()
-        return out
+        total = np.zeros(len(configs))
+        for rows, i, acc in self.accuracy_rows(configs, trace.difficulty):
+            total[i] += (mass[rows] * acc).sum()
+        return total / trace.n_segments
 
     def noise_key(self, cfg: Config, seed: int) -> int:
         """Stable per-(seed, config) noise key.  zlib.crc32 instead of

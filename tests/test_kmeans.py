@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kmeans import KMeansResult, assign, kmeans
+from repro.core.categories import quality_vectors_numpy, sample_segment_indices
+from repro.core.fit import default_n_categories
+from repro.core.kmeans import KMeansResult, _nearest, assign, kmeans
+from repro.core.offline import filter_knob_configs
+from repro.workloads import ALL_WORKLOADS, get_workload
 
 
 def blobs(seed=0, k=3, n=200, d=2, spread=0.05):
@@ -90,3 +94,112 @@ class TestKMeans:
         rnd = x[rng.choice(len(x), k, replace=False)]
         d2 = ((x[:, None, :] - rnd[None]) ** 2).sum(axis=2).min(axis=1)
         assert res.inertia <= d2.sum() + 1e-9
+
+
+def frozen_kmeans(x, k, seed):
+    """The KMeans that content categories were fitted with before the
+    (d, n) kernel, kept verbatim as the bit-identity reference: (n, k, d)
+    broadcast distances and a ``mean`` per cluster."""
+    rng = np.random.default_rng(seed)
+    n = len(x)
+
+    def pp_init():
+        centers = np.empty((k, x.shape[1]))
+        centers[0] = x[rng.integers(n)]
+        d2 = ((x - centers[0]) ** 2).sum(axis=1)
+        for i in range(1, k):
+            total = d2.sum()
+            if total <= 0:
+                centers[i:] = centers[0]
+                break
+            probs = d2 / total
+            centers[i] = x[rng.choice(n, p=probs)]
+            d2 = np.minimum(d2, ((x - centers[i]) ** 2).sum(axis=1))
+        return centers
+
+    def lloyd(centers):
+        for _ in range(200):
+            d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            labels = d2.argmin(axis=1)
+            new_centers = centers.copy()
+            for j in range(k):
+                mask = labels == j
+                if mask.any():
+                    new_centers[j] = x[mask].mean(axis=0)
+            shift = np.abs(new_centers - centers).max()
+            centers = new_centers
+            if shift < 1e-7:
+                break
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = d2.argmin(axis=1)
+        inertia = float(d2[np.arange(len(x)), labels].sum())
+        return KMeansResult(centers=centers, labels=labels, inertia=inertia)
+
+    best = None
+    for _ in range(8):
+        res = lloyd(pp_init())
+        if best is None or res.inertia < best.inertia:
+            best = res
+    return best
+
+
+def spread_data(seed, n, d):
+    """(n, d) values whose magnitudes differ by up to 6 decades across
+    dimensions, so that adding the d squared terms in another order
+    changes the rounded sum."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, d)
+
+
+class TestSummationOrder:
+    """The distance kernel and the fit must round exactly as numpy's own
+    expressions do, so a numpy change to its summation order fails here
+    instead of silently moving the content categories."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 40),
+        n=st.integers(1, 300),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_equals_broadcast_expression(self, d, n, k, seed):
+        x = spread_data(seed, n, d)
+        c = spread_data(seed + 1, k, d)
+        ref = ((x[:, None, :] - c[None]) ** 2).sum(axis=2)
+        xt = np.ascontiguousarray(x.T)
+        buf = np.empty_like(xt)
+        for j in range(k):
+            assert np.array_equal(_nearest(xt, c[j : j + 1], buf)[1], ref[:, j])
+        labels, d2 = _nearest(xt, c, buf)
+        assert np.array_equal(labels, ref.argmin(axis=1))
+        assert np.array_equal(d2, ref.min(axis=1))
+        assert np.array_equal(assign(x, c), ref.argmin(axis=1))
+        assert np.array_equal(assign(np.asfortranarray(x), c), labels)
+
+    @pytest.mark.parametrize("d", [129, 136, 300])
+    def test_kernel_past_the_pairwise_block(self, d):
+        """Beyond 128 terms numpy sums the two halves separately."""
+        x, c = spread_data(0, 64, d), spread_data(1, 3, d)
+        ref = ((x[:, None, :] - c[None]) ** 2).sum(axis=2)
+        xt = np.ascontiguousarray(x.T)
+        for j in range(3):
+            got = _nearest(xt, c[j : j + 1], np.empty_like(xt))[1]
+            assert np.array_equal(got, ref[:, j])
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", ALL_WORKLOADS)
+    def test_fit_equals_frozen_kmeans(self, name, seed):
+        """Centers, labels and inertia of every workload's fit quality
+        vectors (as ``fit_skyscraper`` builds them) equal the frozen
+        implementation's exactly."""
+        wl = get_workload(name)
+        trace = wl.content(seed=seed, n_days=wl.train_days)
+        configs = filter_knob_configs(wl, trace, seed=seed)
+        idx = sample_segment_indices(trace, sample_frac=0.05, seed=seed)
+        q = quality_vectors_numpy(wl, trace, configs, idx, seed=seed)
+        k = default_n_categories(wl)
+        got, want = kmeans(q, k, seed=seed), frozen_kmeans(q, k, seed)
+        assert np.array_equal(got.centers, want.centers)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.inertia == want.inertia

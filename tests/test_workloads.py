@@ -226,6 +226,44 @@ class TestQualityKernel:
         )
         assert np.array_equal(got, reported)
 
+    @staticmethod
+    def check_against_per_config(wl, tr):
+        """``mean_quality`` equals ``(mass * acc).mean()`` and
+        ``quality_curves`` the per-configuration rows, bit for bit."""
+        every = wl.all_configs()
+        configs = every[:: max(1, len(every) // 48)]
+        mass = wl.mass(tr.difficulty, tr.work_multiplier)
+        means = wl.mean_quality(configs, tr)
+        curves = wl.quality_curves(configs, tr)
+        for i, c in enumerate(configs):
+            ref = mass * accuracy(wl, c, tr)
+            assert np.array_equal(curves[i], ref)
+            assert means[i] == ref.mean()
+
+    @pytest.mark.parametrize("name", ALL_WORKLOADS)
+    @pytest.mark.parametrize("n", [5, 8191, 8192, 8193, 3 * 8192 + 17])
+    def test_block_edges(self, name, n):
+        """numpy sums 1-D float64 arrays in chunks of ``np.getbufsize()``
+        (8192 by default) elements and the kernel walks blocks of that
+        many rows: traces one short of, on and one past a block edge, and
+        several blocks long."""
+        wl = get_workload(name)
+        self.check_against_per_config(wl, wl.segments(seed=3, gid0=777, n=n))
+
+    def test_under_another_reduction_buffer(self):
+        """With a smaller reduction buffer numpy's chunks and the kernel's
+        blocks shrink together; if numpy stops chunking its sums by the
+        buffer, this fails instead of the means drifting silently."""
+        wl = get_workload("mot")
+        default = np.getbufsize()
+        np.setbufsize(1024)
+        try:
+            assert np.getbufsize() == 1024
+            tr = wl.segments(seed=4, gid0=0, n=24 * 1024 + 17)
+            self.check_against_per_config(wl, tr)
+        finally:
+            np.setbufsize(default)
+
     @pytest.mark.parametrize("name", ["covid", "mot", "mosei-high"])
     def test_memory_is_a_few_columns(self, name):
         """Ranking every configuration holds O(D) columns at a time: no

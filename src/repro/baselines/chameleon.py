@@ -34,7 +34,7 @@ from repro.video.content import ContentTrace
 from repro.workloads.base import Config, Workload
 
 PROFILE_EVERY_S = 600.0  # profiling period
-PROFILE_SEGMENTS = 1  # recent segments each profiling pass re-runs
+PROFILE_SEGMENTS = 1  # a pass at segment i re-runs i - PROFILE_SEGMENTS .. i
 QUALITY_SLACK = 0.92  # accepted fraction of the best profiled quality
 
 
@@ -75,9 +75,11 @@ def run_chameleon(
     def decide(i, g, rt, usd, queue):
         nonlocal k_epoch
         if i % epoch_segments == 0:
-            # Profiling pass: run every candidate on the last
-            # ``PROFILE_SEGMENTS`` segments; the work goes through the
-            # same queue as regular processing (it competes for cores).
+            # Profiling pass: run every candidate on segments
+            # ``i - PROFILE_SEGMENTS`` through i, the current one
+            # included (fewer at the start of the trace); the work goes
+            # through the same queue as regular processing (it competes
+            # for cores).
             lo = max(0, i - PROFILE_SEGMENTS)
             profile_runtime = float(
                 runtimes[:, prep.mult_idx[lo : i + 1]].sum()

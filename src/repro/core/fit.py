@@ -14,8 +14,8 @@ online phase consumes:
    sample (Section 3.2) — the profiling runs as a Spark dataflow when a
    SparkSession is provided;
 4. create forecast training data by classifying *all* training segments
-   with the cheapest configuration (Appendix H) and aggregating
-   histograms;
+   with the cheapest discriminating configuration (Appendix H, footnote
+   7; :func:`label_segments`) and aggregating histograms;
 5. train the forecasting model (Appendix K architecture).
 
 Wall-clock per step is recorded in ``Fitted.timings`` — this reproduces
@@ -68,6 +68,25 @@ class Fitted:
 def default_n_categories(wl: Workload) -> int:
     """Appendix K.1: COVID and MOT use 3 categories, MOSEI uses 5."""
     return 5 if wl.name.startswith("mosei") else 3
+
+
+def label_segments(
+    wl: Workload,
+    trace: ContentTrace,
+    configs: list[Config],
+    categories: Categories,
+    k: int,
+    *,
+    seed: int,
+) -> np.ndarray:
+    """Category of every segment of ``trace`` by Eq. 5 on the reported
+    quality of the discriminator configuration ``configs[k]`` (fit step
+    4's labels)."""
+    obs = wl.observed_quality(
+        [configs[k]], trace.difficulty, trace.global_ids(), seed=seed,
+        mult=trace.work_multiplier,
+    )
+    return categories.classify_1d(k, obs[0])
 
 
 def fit_skyscraper(
@@ -142,8 +161,9 @@ def fit_skyscraper(
         in_days=in_days,
         out_days=plan_days,
     )
-    obs_klabel = wl.observed_curves([configs[k_label_idx]], trace, seed=seed)
-    labels = categories.classify_1d(k_label_idx, obs_klabel[0])
+    labels = label_segments(
+        wl, trace, configs, categories, k_label_idx, seed=seed
+    )
     if spark is not None:
         train_hists = histogram_series_spark(
             spark,

@@ -85,12 +85,9 @@ def make_plan(
     interval_s: float,
     cloud_budget_usd: float,
     mean_mult: float | None = None,
-    ratios: np.ndarray | None = None,
 ) -> KnobPlan:
-    """Forecast + LP solve; ``ratios`` overrides the forecast (used by
-    the ground-truth-forecast baselines of Section 5.6)."""
-    if ratios is None:
-        ratios = forecast_ratios(fitted, recent_hists)
+    """Forecast + LP solve."""
+    ratios = forecast_ratios(fitted, recent_hists)
     if mean_mult is None:
         mean_mult = fitted.mean_mult
     budget = compute_budget_per_vs(

@@ -8,8 +8,7 @@ hardware or method variant:
 - a Skyscraper cell needs the :class:`~repro.core.fit.Fitted` of its fit
   key ``(workload, seed, train_days, n_categories)``;
 - a baseline cell needs the :class:`TrainingSide` of its training key
-  ``(workload, seed, train_days)``, built with only the parts that its
-  cells' methods read (:data:`READS`).
+  ``(workload, seed, train_days)``.
 
 A sweep builds each key's artifact once (:func:`build_artifact`, in the
 task that runs the key's cells) and hands each cell its artifact in
@@ -41,20 +40,21 @@ from repro.workloads.base import Config, Workload
 # planner decides how much of it is actually worth spending.
 CLOUD_BUDGET_PER_VCPU_DAY = 0.1
 METHODS = ("skyscraper", "static", "chameleon", "videostorm", "optimum")
-# the TrainingSide parts each baseline method reads
-READS = {"static": ("peak_mult", "mean_q"), "chameleon": ("configs",),
-         "videostorm": ("configs", "mean_q"), "optimum": ("configs",)}
+# every key a cell may set; run_one rejects any other
+PARAMS = frozenset({
+    "workload", "method", "vcpus", "seed", "train_days", "test_days",
+    "n_categories", "enable_cloud", "enable_buffer", "artifact",
+})
 
 
 @dataclass(frozen=True)
 class TrainingSide:
-    """What the baseline cells learn from one training trace.  A part
-    that no method it was built for reads is None."""
+    """What the baseline cells learn from one training trace."""
 
     wl: Workload
-    configs: list[Config] | None  # fit step 1's filtered set
-    peak_mult: float | None  # Static's feasibility multiplier
-    mean_q: dict[Config, float] | None  # mean training quality, every config
+    configs: list[Config]  # fit step 1's filtered set
+    peak_mult: float  # Static's feasibility multiplier
+    mean_q: dict[Config, float]  # mean training quality, every config
 
     def static_config(self, cluster: Cluster) -> Config:
         """``best_static_config`` on the training trace; only the
@@ -79,11 +79,9 @@ def artifact_key(params: dict) -> tuple:
     return (workload, seed, train_days)
 
 
-def build_artifact(key: tuple, train: ContentTrace | None = None,
-                   methods=METHODS):
+def build_artifact(key: tuple, train: ContentTrace | None = None):
     """The artifact of one :func:`artifact_key`; ``train`` is the key's
-    training trace when the caller already has it.  A training side gets
-    only the parts that ``methods`` read."""
+    training trace when the caller already has it."""
     workload, seed, train_days = key[:3]
     wl = get_workload(workload)
     if train is None:
@@ -101,15 +99,12 @@ def build_artifact(key: tuple, train: ContentTrace | None = None,
             in_days=plan_days,
             trace=train,
         )
-    reads = {part for m in methods for part in READS.get(m, ())}
     every = wl.all_configs()
     return TrainingSide(
         wl,
-        configs=(filter_knob_configs(wl, train, seed=seed)
-                 if "configs" in reads else None),
-        peak_mult=peak_multiplier(train) if "peak_mult" in reads else None,
-        mean_q=(dict(zip(every, wl.mean_quality(every, train).tolist()))
-                if "mean_q" in reads else None),
+        configs=filter_knob_configs(wl, train, seed=seed),
+        peak_mult=peak_multiplier(train),
+        mean_q=dict(zip(every, wl.mean_quality(every, train).tolist())),
     )
 
 
@@ -117,13 +112,18 @@ def run_one(params: dict) -> dict:
     """Run one experiment cell and return a flat result row.
 
     ``params["artifact"]``, when present, is :func:`build_artifact` of
-    the cell's :func:`artifact_key`.
+    the cell's :func:`artifact_key`.  ``enable_buffer=False`` runs the
+    cell on a zero-buffer cluster.  A key outside :data:`PARAMS` raises
+    ``ValueError``.
     """
+    unknown = sorted(set(params) - PARAMS)
+    if unknown:
+        raise ValueError(f"unknown cell parameters {unknown}")
     key = artifact_key(params)
     method = params["method"]
     art = params.get("artifact")
     if art is None:
-        art = build_artifact(key, methods=(method,))
+        art = build_artifact(key)
     workload, seed, train_days = key[:3]
     vcpus = int(params["vcpus"])
     wl = get_workload(workload)
@@ -132,6 +132,8 @@ def run_one(params: dict) -> dict:
     cloud_budget = CLOUD_BUDGET_PER_VCPU_DAY * vcpus
 
     cluster = make_cluster(vcpus)
+    if not params.get("enable_buffer", True):
+        cluster = make_cluster(vcpus, buffer_bytes=0.0)
     test = wl.content(seed=seed, n_days=test_days, start_day=train_days)
 
     if method == "skyscraper":
@@ -143,11 +145,6 @@ def run_one(params: dict) -> dict:
             cloud_budget_usd_per_day=cloud_budget,
             seed=seed,
             enable_cloud=bool(params.get("enable_cloud", True)),
-            enable_buffer=bool(params.get("enable_buffer", True)),
-            classify_mode=params.get("classify_mode", "standard"),
-            ground_truth_forecast=bool(
-                params.get("ground_truth_forecast", False)
-            ),
         )
     elif method == "static":
         res = run_static(
@@ -168,13 +165,6 @@ def run_one(params: dict) -> dict:
         res = run_optimum(wl, cluster, test, art.configs, seed=seed)
 
     row = res.to_row()
-    row.update(
-        {
-            k: params[k]
-            for k in ("classify_mode", "ground_truth_forecast")
-            if k in params
-        }
-    )
     row["cloud_budget_usd_per_day"] = cloud_budget
     row["n_categories"] = n_categories
     row["seed"] = seed

@@ -33,9 +33,8 @@ def group_cells(grid: list[dict]) -> dict[tuple, list[int]]:
 
 def run_group(key: tuple, cells: list[dict], train=None) -> list[dict]:
     """Rows of ``cells``, which all have artifact ``key``, in order; the
-    artifact is built once, from ``train`` when the caller has it, with
-    the parts that the cells' methods read."""
-    art = runs.build_artifact(key, train, {p["method"] for p in cells})
+    artifact is built once, from ``train`` when the caller has it."""
+    art = runs.build_artifact(key, train)
     # looked up per call, so a wrapper installed on the module sees every cell
     return [runs.run_one({**params, "artifact": art}) for params in cells]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.core.fit import fit_skyscraper
+from repro.core.fit import fit_skyscraper, label_segments
 from repro.core.forecast import (
     ForecastSpec,
     build_training_pairs,
@@ -34,10 +34,10 @@ SPLITS = (1, 2, 4, 8)
 def _label_series(wl, fitted, *, seed, train_days, test_days):
     """Category labels over train+test, via the discriminator config."""
     full = wl.content(seed=seed, n_days=train_days + test_days)
-    obs = wl.observed_curves(
-        [fitted.configs[fitted.k_label_idx]], full, seed=seed
+    return label_segments(
+        wl, full, fitted.configs, fitted.categories, fitted.k_label_idx,
+        seed=seed,
     )
-    return fitted.categories.classify_1d(fitted.k_label_idx, obs[0])
 
 
 def _train_test_mae(

@@ -19,7 +19,6 @@ back to cheaper configurations instead.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -239,7 +238,7 @@ class Prepared:
 def prepare(
     wl: Workload, configs: list[Config], trace: ContentTrace, *, seed: int
 ) -> Prepared:
-    # one kernel pass for both: quality_curves' and observed_curves' ops
+    # one kernel pass for both: quality_curves' and observed_quality's ops
     acc = wl.accuracies(configs, trace.difficulty)
     mass = wl.mass(trace.difficulty, trace.work_multiplier)
     qual_true = acc * mass
@@ -371,29 +370,16 @@ def run_skyscraper(
     *,
     cloud_budget_usd_per_day: float = 0.5,
     seed: int = 0,
-    plan_days: float | None = None,
     enable_cloud: bool = True,
-    enable_buffer: bool = True,
-    classify_mode: str = "standard",
-    ground_truth_forecast: bool = False,
 ) -> RunResult:
     """Simulate Skyscraper's online phase over ``trace``.
 
-    ``classify_mode``: 'standard' (Eq. 5 on the previous segment's
-    reported quality), 'no_typeb' (uses the current segment — removes
-    the timing mismatch, Section 5.6), or 'ground_truth'.
-    ``ground_truth_forecast`` replaces the forecasting model's output
-    with the realized category distribution of the upcoming interval
-    (Section 5.6, Figure 14's "ground truth" baseline).
-    ``enable_cloud`` / ``enable_buffer`` implement the Section 5.4
-    ablations.
+    The fit sets the categories, the forecaster and the planning
+    interval (``fitted.spec.out_days``); ``cluster`` sets the cores and
+    the buffer.  ``enable_cloud`` and a zero-buffer cluster are the
+    Section 5.4 ablations.
     """
-    if plan_days is None:
-        plan_days = fitted.spec.out_days
-    if not enable_buffer:
-        cluster = dataclasses.replace(cluster, buffer_bytes=0.0)
     prep = prepare(wl, fitted.configs, trace, seed=seed)
-    gt_labels = fitted.categories.classify_full(prep.qual_true.T)
     tables = build_placement_tables(
         wl, fitted.configs, cluster, prep.mult_grid, enable_cloud=enable_cloud
     )
@@ -404,7 +390,9 @@ def run_skyscraper(
     n = trace.n_segments
     seg_len = wl.seg_len
     n_cats = fitted.categories.n
-    plan_interval_segments = max(1, int(round(plan_days * 86400.0 / seg_len)))
+    plan_interval_segments = max(
+        1, int(round(fitted.spec.out_days * 86400.0 / seg_len))
+    )
     bin_segments = max(1, int(round(fitted.spec.bin_s / seg_len)))
     horizon = int(round(fitted.spec.in_bins * 4))  # bounded label history
     qual_obs = prep.qual_obs
@@ -431,11 +419,6 @@ def run_skyscraper(
         interval_s = min(plan_interval_segments, n - i) * seg_len
         if enable_cloud:
             cloud_allow += cloud_budget_usd_per_day * interval_s / 86400.0
-        ratios = None
-        if ground_truth_forecast:
-            upcoming = gt_labels[i : i + plan_interval_segments]
-            ratios = np.bincount(upcoming, minlength=n_cats).astype(float)
-            ratios /= ratios.sum()
         recent_mult = (
             float(mult[max(0, i - plan_interval_segments) : i + 1].mean())
             if i > 0
@@ -448,7 +431,6 @@ def run_skyscraper(
             interval_s=interval_s,
             cloud_budget_usd=cloud_allow,
             mean_mult=recent_mult,
-            ratios=ratios,
         )
         switcher.set_plan(knob_plan.alpha)
 
@@ -457,15 +439,12 @@ def run_skyscraper(
         if i % plan_interval_segments == 0:
             plan(i)
 
-        # step 1: classify the current content (Eq. 5)
+        # step 1: classify the content from the previous segment's
+        # reported quality (Eq. 5)
         k_cur = k_run[i] = switcher.k_cur
-        if classify_mode == "ground_truth":
-            c = int(gt_labels[i])
-        elif classify_mode == "no_typeb":
-            c = switcher.classify(float(qual_obs[k_cur, i]))
-        else:
-            c = switcher.classify(float(qual_obs[k_cur, max(0, i - 1)]))
-        est_labels[i] = c
+        c = est_labels[i] = switcher.classify(
+            float(qual_obs[k_cur, max(0, i - 1)])
+        )
 
         # steps 2-3: plan lookup, then a placement within the cloud
         # credit that keeps the buffer below its headroom (Eq. 1)
@@ -481,6 +460,7 @@ def run_skyscraper(
         return k, p
 
     res = simulate(prep, cluster, tables, decide, method="skyscraper")
+    gt_labels = fitted.categories.classify_full(prep.qual_true.T)
     # Section 5.6: Eq. 5 on the current segment's quality (no Type-B
     # timing mismatch), against the full-vector ground truth
     est_labels_nb = fitted.categories.classify_1d(

@@ -293,18 +293,6 @@ class Workload(abc.ABC):
             np.clip(row + self.quality_noise * noise, 0.0, 1.0, out=row)
         return acc
 
-    def observed_curves(
-        self, configs: list[Config], trace: ContentTrace, *, seed: int
-    ) -> np.ndarray:
-        """:meth:`observed_quality` over every segment of ``trace``."""
-        return self.observed_quality(
-            configs,
-            trace.difficulty,
-            trace.global_ids(),
-            seed=seed,
-            mult=trace.work_multiplier,
-        )
-
     # -- content ------------------------------------------------------------
     @abc.abstractmethod
     def content_params(self) -> ContentParams:

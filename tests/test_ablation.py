@@ -17,17 +17,17 @@ def covid_ablation(covid):
         sample_frac=0.02,
     )
     test = covid.content(seed=0, n_days=1.0, start_day=4.0)
-    cl = make_cluster(4)
+    cl, no_buf = make_cluster(4), make_cluster(4, buffer_bytes=0.0)
     out = {}
-    for name, kw in [
-        ("none", dict(enable_cloud=False, enable_buffer=False)),
-        ("only_buffer", dict(enable_cloud=False, enable_buffer=True)),
-        ("only_cloud", dict(enable_cloud=True, enable_buffer=False)),
-        ("both", dict(enable_cloud=True, enable_buffer=True)),
+    for name, c, cloud in [
+        ("none", no_buf, False),
+        ("only_buffer", cl, False),
+        ("only_cloud", no_buf, True),
+        ("both", cl, True),
     ]:
         out[name] = run_skyscraper(
-            covid, fitted, cl, test,
-            cloud_budget_usd_per_day=1.0, seed=0, **kw,
+            covid, fitted, c, test,
+            cloud_budget_usd_per_day=1.0, seed=0, enable_cloud=cloud,
         )
     return out
 
@@ -70,16 +70,16 @@ def mosei_ablation():
             sample_frac=0.02,
         )
         test = wl.content(seed=0, n_days=2.0, start_day=2.0)
-        cl = make_cluster(8)
+        cl, no_buf = make_cluster(8), make_cluster(8, buffer_bytes=0.0)
         out[name] = {
             lbl: run_skyscraper(
-                wl, fitted, cl, test,
-                cloud_budget_usd_per_day=3.0, seed=0, **kw,
+                wl, fitted, c, test,
+                cloud_budget_usd_per_day=3.0, seed=0, enable_cloud=cloud,
             )
-            for lbl, kw in [
-                ("only_buffer", dict(enable_cloud=False)),
-                ("only_cloud", dict(enable_buffer=False)),
-                ("both", dict()),
+            for lbl, c, cloud in [
+                ("only_buffer", cl, False),
+                ("only_cloud", no_buf, True),
+                ("both", cl, True),
             ]
         }
     return out

@@ -215,7 +215,7 @@ class TestOptimum:
         cl = make_cluster(8)
         sky = run_skyscraper(
             covid, covid_fit, cl, test,
-            cloud_budget_usd_per_day=0.0, seed=0, plan_days=0.25,
+            cloud_budget_usd_per_day=0.0, seed=0,
         )
         opt = run_optimum(
             covid, cl, test, covid_fit.configs,

@@ -68,19 +68,46 @@ class TestRunOne:
     @pytest.mark.parametrize(
         "method", ["static", "chameleon", "videostorm", "optimum"]
     )
-    def test_builds_only_what_its_method_reads(self, method):
-        """A standalone cell's training side has only its method's parts,
-        and its row equals the row of a cell given every part."""
-        from repro.exp.runs import READS, artifact_key, build_artifact
+    def test_standalone_equals_artifact_cell(self, method):
+        """A standalone cell builds the same training side that a sweep
+        hands its cells, every part of it."""
+        from repro.exp.runs import artifact_key, build_artifact
 
         params = {"workload": "covid", "method": method, "vcpus": 8, **TINY}
-        key = artifact_key(params)
-        own = build_artifact(key, methods=(method,))
-        built = {p for p in ("configs", "peak_mult", "mean_q")
-                 if getattr(own, p) is not None}
-        assert built == set(READS[method])
-        assert run_one(params) == run_one(
-            {**params, "artifact": build_artifact(key)})
+        art = build_artifact(artifact_key(params))
+        assert None not in (art.configs, art.peak_mult, art.mean_q)
+        assert run_one(params) == run_one({**params, "artifact": art})
+
+    @pytest.mark.parametrize(
+        "key", ["classify_mode", "ground_truth_forecast", "plan_days",
+                "enable_bufer"]
+    )
+    def test_unknown_parameter_fails_loudly(self, key):
+        with pytest.raises(ValueError, match=key):
+            run_one({"workload": "covid", "method": "skyscraper",
+                     "vcpus": 8, **TINY, key: False})
+
+    @pytest.mark.parametrize(
+        "method", ["skyscraper", "static", "chameleon", "videostorm",
+                   "optimum"]
+    )
+    def test_no_buffer_is_a_zero_buffer_cluster(self, method, monkeypatch):
+        """``enable_buffer=False`` hands every method a cluster without
+        a buffer."""
+        from repro.exp import runs
+        from repro.sim.cluster import Cluster
+
+        buffers = []
+        run = getattr(runs, f"run_{method}")
+
+        def spy(*a, **kw):
+            buffers.extend(x.buffer_bytes for x in a if isinstance(x, Cluster))
+            return run(*a, **kw)
+
+        monkeypatch.setattr(runs, f"run_{method}", spy)
+        run_one({"workload": "covid", "method": method, "vcpus": 8,
+                 **TINY, "enable_buffer": False})
+        assert buffers == [0.0]
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

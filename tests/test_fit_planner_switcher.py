@@ -119,18 +119,17 @@ class TestPlanner:
             q.append(plan.lp.quality)
         assert q[1] >= q[0]
 
-    def test_ratio_override(self, covid_fit):
-        r = np.zeros(covid_fit.categories.n)
-        r[-1] = 1.0
+    def test_plan_ratios_are_forecast(self, covid_fit):
         plan = make_plan(
             covid_fit,
             covid_fit.train_hists,
             make_cluster(8),
             interval_s=86400.0,
             cloud_budget_usd=0.0,
-            ratios=r,
         )
-        np.testing.assert_array_equal(plan.ratios, r)
+        np.testing.assert_array_equal(
+            plan.ratios, forecast_ratios(covid_fit, covid_fit.train_hists)
+        )
 
 
 def make_switcher(n_k=3, n_c=2):

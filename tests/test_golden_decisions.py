@@ -36,9 +36,6 @@ METHODS = ("skyscraper", "static", "chameleon", "videostorm", "optimum")
 SKYSCRAPER_VARIANTS = {
     "no_cloud": {"enable_cloud": False},
     "no_buffer": {"enable_buffer": False},
-    "no_typeb": {"classify_mode": "no_typeb"},
-    "ground_truth": {"classify_mode": "ground_truth"},
-    "gt_forecast": {"ground_truth_forecast": True},
 }
 # runs longer than one planning interval (0.25 days): the planner reads
 # the histograms the switcher recorded online, and COVID's 8 plans trim

@@ -33,6 +33,14 @@ def accuracy(wl, cfg, tr):
     )
 
 
+def observed(wl, configs, tr, *, seed):
+    """Reported quality of ``configs`` over every segment of ``tr``."""
+    return wl.observed_quality(
+        configs, tr.difficulty, tr.global_ids(), seed=seed,
+        mult=tr.work_multiplier,
+    )
+
+
 class TestRegistry:
     def test_all_workloads_instantiable(self):
         for name in ALL_WORKLOADS:
@@ -149,10 +157,10 @@ class TestQualityModel:
     def test_observed_quality_noise_determinism(self, wl):
         tr = wl.content(seed=0, n_days=0.02)
         cfg = wl.best_config()
-        a = wl.observed_curves([cfg], tr, seed=1)
-        b = wl.observed_curves([cfg], tr, seed=1)
+        a = observed(wl, [cfg], tr, seed=1)
+        b = observed(wl, [cfg], tr, seed=1)
         np.testing.assert_array_equal(a, b)
-        c = wl.observed_curves([cfg], tr, seed=2)
+        c = observed(wl, [cfg], tr, seed=2)
         assert not np.allclose(a, c)
 
     def test_observed_quality_slice_invariant(self, wl):
@@ -160,8 +168,8 @@ class TestQualityModel:
         partitioning invariance)."""
         tr = wl.content(seed=0, n_days=0.02)
         cfg = wl.cheapest_config()
-        full = wl.observed_curves([cfg], tr, seed=0)
-        part = wl.observed_curves([cfg], tr.slice(100, 200), seed=0)
+        full = observed(wl, [cfg], tr, seed=0)
+        part = observed(wl, [cfg], tr.slice(100, 200), seed=0)
         np.testing.assert_allclose(full[:, 100:200], part)
 
     def test_noise_key_differs_per_config(self, wl):

@@ -9,6 +9,10 @@ argmax_k (quality - lambda * cost); bisecting lambda to meet the budget
 gives the LP optimum (up to one fractional segment, which we round
 down).  This is at least as strong as the paper's greedy 0-1 knapsack
 approximation.
+
+The LP knows nothing of the buffer: ``simulate`` replays its choices on
+premises, so the row reports the buffer they would need (MOSEI's
+spikes take several times a 4 GB buffer) and flags the overflow.
 """
 from __future__ import annotations
 
@@ -18,9 +22,9 @@ from repro.sim.cluster import Cluster
 from repro.sim.ingest import (
     Prepared,
     RunResult,
-    SegmentQueue,
-    finalize,
+    build_placement_tables,
     prepare,
+    simulate,
 )
 from repro.video.content import ContentTrace
 from repro.workloads.base import Config, Workload
@@ -69,14 +73,10 @@ def run_optimum(
     prep = prepare(wl, configs, trace, seed=seed)
     if budget_core_s is None:
         budget_core_s = cluster.n_cores * trace.n_segments * wl.seg_len
-    chosen = optimum_choices(prep, budget_core_s)
-    queue = SegmentQueue(wl.seg_len, prep.seg_bytes, float("inf"))
-    return finalize(
-        prep,
-        cluster,
-        method="optimum",
-        chosen_k=chosen,
-        queue=queue,
-        cloud_usd=0.0,
-        cloud_core_s=0.0,
+    chosen = optimum_choices(prep, budget_core_s).tolist()
+    tables = build_placement_tables(
+        wl, configs, cluster, prep.mult_grid, enable_cloud=False
+    )
+    return simulate(
+        prep, cluster, tables, lambda i, *_: (chosen[i], 0), method="optimum"
     )

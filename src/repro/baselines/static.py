@@ -22,10 +22,6 @@ from repro.sim.ingest import (
 from repro.video.content import ContentTrace
 from repro.workloads.base import Config, Workload
 
-# fraction of the cores and of the segment length a static configuration
-# may use at the training trace's peak multiplier
-HEADROOM = 1.0
-
 
 def peak_multiplier(train_trace: ContentTrace) -> float:
     """The training trace's p99.9 work multiplier: the peak a static
@@ -44,13 +40,13 @@ def feasible_configs(
 
     feasible = []
     for c in wl.all_configs():
-        if wl.work_per_vs(c) * peak_mult > cluster.n_cores * HEADROOM:
+        if wl.work_per_vs(c) * peak_mult > cluster.n_cores:
             continue  # cheap necessary-condition prefilter
         g = wl.task_graph(c)
         runtime = simulate_placement(
             g, (False,) * len(g.nodes), cluster, mult=peak_mult
         ).runtime_s
-        if runtime <= wl.seg_len * HEADROOM:
+        if runtime <= wl.seg_len:
             feasible.append(c)
     return feasible
 

@@ -113,7 +113,8 @@ def run_one(params: dict) -> dict:
 
     ``params["artifact"]``, when present, is :func:`build_artifact` of
     the cell's :func:`artifact_key`.  ``enable_buffer=False`` runs the
-    cell on a zero-buffer cluster.  A key outside :data:`PARAMS` raises
+    cell on a zero-buffer cluster, ``enable_cloud=False`` with a zero
+    cloud budget.  A key outside :data:`PARAMS` raises
     ``ValueError``.
     """
     unknown = sorted(set(params) - PARAMS)
@@ -130,6 +131,8 @@ def run_one(params: dict) -> dict:
     test_days = float(params.get("test_days", wl.test_days))
     n_categories = params.get("n_categories")
     cloud_budget = CLOUD_BUDGET_PER_VCPU_DAY * vcpus
+    if not params.get("enable_cloud", True):
+        cloud_budget = 0.0
 
     cluster = make_cluster(vcpus)
     if not params.get("enable_buffer", True):
@@ -144,7 +147,6 @@ def run_one(params: dict) -> dict:
             test,
             cloud_budget_usd_per_day=cloud_budget,
             seed=seed,
-            enable_cloud=bool(params.get("enable_cloud", True)),
         )
     elif method == "static":
         res = run_static(

@@ -8,9 +8,9 @@ cloud placements consume cloud credits.  This is the harness behind
 Table 2, the ablation variants of Section 5.4, and the microbenchmarks
 of Section 5.6.
 
-:func:`simulate` is the one per-segment loop: Skyscraper and the
-queue-based baselines differ only in the ``decide`` policy that picks
-each segment's configuration and placement.
+:func:`simulate` is the one per-segment loop: Skyscraper and the four
+baselines differ only in the ``decide`` policy that picks each
+segment's configuration and placement.
 
 The simulator enforces the V-ETL contract of Eq. 1: the knob switcher
 never admits a placement whose predicted completion would push the
@@ -64,12 +64,7 @@ class RunResult:
     extras: dict = field(default_factory=dict)
 
     def to_row(self) -> dict:
-        row = {
-            k: v
-            for k, v in self.__dict__.items()
-            if k != "extras" and not isinstance(v, dict)
-        }
-        return row
+        return {k: v for k, v in self.__dict__.items() if k != "extras"}
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +220,6 @@ class Prepared:
 
     wl: Workload
     trace: ContentTrace
-    configs: list[Config]
     work: np.ndarray  # (K,)
     qual_true: np.ndarray  # (K, n) noiseless
     qual_obs: np.ndarray  # (K, n) reported
@@ -253,7 +247,6 @@ def prepare(
     return Prepared(
         wl=wl,
         trace=trace,
-        configs=configs,
         work=np.array([wl.work_per_vs(c) for c in configs]),
         qual_true=qual_true,
         qual_obs=qual_obs,
@@ -370,18 +363,23 @@ def run_skyscraper(
     *,
     cloud_budget_usd_per_day: float = 0.5,
     seed: int = 0,
-    enable_cloud: bool = True,
 ) -> RunResult:
     """Simulate Skyscraper's online phase over ``trace``.
 
     The fit sets the categories, the forecaster and the planning
     interval (``fitted.spec.out_days``); ``cluster`` sets the cores and
-    the buffer.  ``enable_cloud`` and a zero-buffer cluster are the
+    the buffer.  Without a positive ``cloud_budget_usd_per_day`` only
+    on-premises placements are profiled, so no pick, forced ones
+    included, spends.  A zero budget and a zero-buffer cluster are the
     Section 5.4 ablations.
     """
     prep = prepare(wl, fitted.configs, trace, seed=seed)
     tables = build_placement_tables(
-        wl, fitted.configs, cluster, prep.mult_grid, enable_cloud=enable_cloud
+        wl,
+        fitted.configs,
+        cluster,
+        prep.mult_grid,
+        enable_cloud=cloud_budget_usd_per_day > 0,
     )
     switcher = KnobSwitcher(
         fitted.categories, [t.runtime[:, 0].tolist() for t in tables]
@@ -417,8 +415,7 @@ def run_skyscraper(
     def plan(i: int) -> None:
         nonlocal cloud_allow
         interval_s = min(plan_interval_segments, n - i) * seg_len
-        if enable_cloud:
-            cloud_allow += cloud_budget_usd_per_day * interval_s / 86400.0
+        cloud_allow += cloud_budget_usd_per_day * interval_s / 86400.0
         recent_mult = (
             float(mult[max(0, i - plan_interval_segments) : i + 1].mean())
             if i > 0

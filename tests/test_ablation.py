@@ -19,15 +19,14 @@ def covid_ablation(covid):
     test = covid.content(seed=0, n_days=1.0, start_day=4.0)
     cl, no_buf = make_cluster(4), make_cluster(4, buffer_bytes=0.0)
     out = {}
-    for name, c, cloud in [
-        ("none", no_buf, False),
-        ("only_buffer", cl, False),
-        ("only_cloud", no_buf, True),
-        ("both", cl, True),
+    for name, c, budget in [
+        ("none", no_buf, 0.0),
+        ("only_buffer", cl, 0.0),
+        ("only_cloud", no_buf, 1.0),
+        ("both", cl, 1.0),
     ]:
         out[name] = run_skyscraper(
-            covid, fitted, c, test,
-            cloud_budget_usd_per_day=1.0, seed=0, enable_cloud=cloud,
+            covid, fitted, c, test, cloud_budget_usd_per_day=budget, seed=0
         )
     return out
 
@@ -73,13 +72,12 @@ def mosei_ablation():
         cl, no_buf = make_cluster(8), make_cluster(8, buffer_bytes=0.0)
         out[name] = {
             lbl: run_skyscraper(
-                wl, fitted, c, test,
-                cloud_budget_usd_per_day=3.0, seed=0, enable_cloud=cloud,
+                wl, fitted, c, test, cloud_budget_usd_per_day=budget, seed=0
             )
-            for lbl, c, cloud in [
-                ("only_buffer", cl, False),
-                ("only_cloud", no_buf, True),
-                ("both", cl, True),
+            for lbl, c, budget in [
+                ("only_buffer", cl, 0.0),
+                ("only_cloud", no_buf, 3.0),
+                ("both", cl, 3.0),
             ]
         }
     return out

@@ -1,6 +1,8 @@
 """Tests for the Static / Chameleon* / VideoStorm* / Optimum baselines."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,53 @@ from repro.baselines.optimum import optimum_choices, run_optimum
 from repro.baselines.static import best_static_config, run_static
 from repro.baselines.videostorm import run_videostorm
 from repro.exp.paper_numbers import PAPER_TABLE2_ROWS
+from repro.exp.runs import CLOUD_BUDGET_PER_VCPU_DAY
 from repro.sim.cluster import make_cluster
 from repro.sim.dagsim import simulate_placement
 from repro.sim.ingest import prepare, run_skyscraper
-from repro.workloads import get_workload
+from repro.workloads import ALL_WORKLOADS, get_workload
+from tests.test_golden_decisions import TEST_DAYS, TRAIN_DAYS, artifact
+
+
+@functools.lru_cache(maxsize=None)
+def window_runs(name: str, vcpus: int, buffer_bytes: float) -> dict:
+    """Method -> ``RunResult`` of all five methods on the golden
+    fixture's window of ``name`` (seed 0, 2 train days, 0.25 test days),
+    each as ``run_one`` runs it, on ``vcpus`` cores and ``buffer_bytes``
+    of buffer."""
+    wl = get_workload(name)
+    cluster = make_cluster(vcpus, buffer_bytes=buffer_bytes)
+    test = wl.content(seed=0, n_days=TEST_DAYS, start_day=TRAIN_DAYS)
+    fit = artifact((name, 0, TRAIN_DAYS, None))
+    side = artifact((name, 0, TRAIN_DAYS))
+    return {
+        "skyscraper": run_skyscraper(
+            wl, fit, cluster, test,
+            cloud_budget_usd_per_day=CLOUD_BUDGET_PER_VCPU_DAY * vcpus,
+        ),
+        "static": run_static(
+            wl, cluster, test, None, config=side.static_config(cluster)
+        ),
+        "chameleon": run_chameleon(
+            wl, cluster, test, None, configs=side.configs
+        ),
+        "videostorm": run_videostorm(
+            wl, cluster, test, None, configs=side.configs,
+            mean_q=side.mean_q,
+        ),
+        "optimum": run_optimum(wl, cluster, test, side.configs),
+    }
+
+
+@pytest.mark.parametrize("buffer_bytes", [4e9, 6e7])
+@pytest.mark.parametrize("name", ALL_WORKLOADS)
+def test_overflow_is_peak_over_buffer(name, buffer_bytes):
+    """Every method's row flags an overflow exactly when its buffer peak
+    exceeds the cluster's buffer: ``buffer_peak <= buffer`` whenever
+    ``overflow`` is false, and a flagged overflow shows in the peak."""
+    for method, r in window_runs(name, 4, buffer_bytes).items():
+        assert r.overflow == (r.buffer_peak_bytes > buffer_bytes + 1e-6), (
+            method, r.buffer_peak_bytes)
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +252,15 @@ class TestOptimum:
             budget_core_s=static.work_core_s, seed=0,
         )
         assert opt.quality_pct >= static.quality_pct - 0.5
+
+    def test_row_reports_its_buffer(self):
+        """The LP ignores the buffer; ``simulate`` replays its choices,
+        so the row shows the buffer they need, even past the cluster's."""
+        high = window_runs("mosei-high", 4, 4e9)["optimum"]
+        assert high.overflow
+        assert high.buffer_peak_bytes > 4e9
+        covid = window_runs("covid", 8, 4e9)["optimum"]
+        assert 0 < covid.buffer_peak_bytes <= 4e9
 
     def test_skyscraper_close_to_optimum(self, covid, covid_fit):
         """Section 5.4: 'Skyscraper's work reduction performs

@@ -6,20 +6,22 @@ configuration choices (``chosen_k``) must equal the committed fixture
 the switcher or the baselines that is meant to be a pure refactor must
 leave the fixture untouched.
 
-``chosen_k`` is captured by wrapping ``finalize`` in every module that
-has it, so the test does not depend on which module calls it.
+``chosen_k`` is captured by wrapping ``repro.sim.ingest.finalize``:
+every method's run goes through ``simulate``, which calls it once.
 
 Regenerate (only when a decision change is intended, and say why in
 CHANGES.md)::
 
     PYTHONPATH=src python -m tests.test_golden_decisions --write
+
+``--write`` prints every value that moves (``cell: field old -> new``)
+before it writes.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -41,13 +43,6 @@ SKYSCRAPER_VARIANTS = {
 # the histograms the switcher recorded online, and COVID's 8 plans trim
 # that history to the forecaster's horizon
 REPLAN_TEST_DAYS = {"covid": 2.0, "mosei-high": 1.0}
-FINALIZE_MODULES = (
-    "repro.sim.ingest",
-    "repro.baselines.static",
-    "repro.baselines.chameleon",
-    "repro.baselines.videostorm",
-    "repro.baselines.optimum",
-)
 
 
 def cells() -> dict[str, dict]:
@@ -73,25 +68,20 @@ def cells() -> dict[str, dict]:
 @contextlib.contextmanager
 def capture_chosen():
     """Collect the ``chosen_k`` of every ``finalize`` call."""
+    from repro.sim import ingest
+
     chosen: list[np.ndarray] = []
-    patched = []
-    for name in FINALIZE_MODULES:
-        mod = importlib.import_module(name)
-        orig = getattr(mod, "finalize", None)
-        if orig is None:
-            continue
+    orig = ingest.finalize
 
-        def capture(*a, chosen_k, _orig=orig, **kw):
-            chosen.append(np.asarray(chosen_k, dtype=np.int64).copy())
-            return _orig(*a, chosen_k=chosen_k, **kw)
+    def capture(*a, chosen_k, **kw):
+        chosen.append(np.asarray(chosen_k, dtype=np.int64).copy())
+        return orig(*a, chosen_k=chosen_k, **kw)
 
-        patched.append((mod, orig))
-        mod.finalize = capture
+    ingest.finalize = capture
     try:
         yield chosen
     finally:
-        for mod, orig in patched:
-            mod.finalize = orig
+        ingest.finalize = orig
 
 
 def jsonable(row: dict) -> dict:
@@ -174,9 +164,32 @@ def test_streaming_switcher_matches_golden(golden):
     assert streaming_history() == golden["streaming"]
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One ``cell: field old -> new`` line per fixture value that moves,
+    ``chosen_k_sha256`` included."""
+    lines = []
+    for cell in sorted(set(old["runs"]) | set(new["runs"])):
+        a, b = old["runs"].get(cell), new["runs"].get(cell)
+        if a is None or b is None:
+            lines.append(f"{cell}: {'added' if a is None else 'deleted'}")
+            continue
+        a = {**a["row"], "chosen_k_sha256": a["chosen_k_sha256"]}
+        b = {**b["row"], "chosen_k_sha256": b["chosen_k_sha256"]}
+        lines += [f"{cell}: {k} {a.get(k)!r} -> {b.get(k)!r}"
+                  for k in sorted(set(a) | set(b))
+                  if not same(b.get(k), a.get(k))]
+    if old["streaming"] != new["streaming"]:
+        lines.append("streaming: history changed")
+    return lines
+
+
 def write() -> None:
     out = {"runs": {c: run_cell(p) for c, p in sorted(cells().items())},
            "streaming": streaming_history()}
+    old = load() if os.path.exists(FIXTURE) else {"runs": {},
+                                                   "streaming": None}
+    for line in changes(old, out):
+        print(line)
     os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
     with open(FIXTURE, "w") as f:
         json.dump(out, f, indent=1, sort_keys=True)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.cluster import make_cluster
 from repro.sim.ingest import (
     SegmentQueue,
     build_placement_tables,
@@ -16,6 +17,7 @@ from repro.sim.ingest import (
     run_skyscraper,
 )
 from repro.workloads import ALL_WORKLOADS, get_workload
+from tests.test_golden_decisions import TEST_DAYS, TRAIN_DAYS, artifact
 
 
 class TestSegmentQueue:
@@ -318,8 +320,6 @@ class TestRunSkyscraper:
         assert again.cloud_usd == pytest.approx(sky_run.cloud_usd)
 
     def test_more_cores_better_quality(self, covid, covid_fit):
-        from repro.sim.cluster import make_cluster
-
         test = covid.content(seed=0, n_days=0.25, start_day=2.0)
         qs = []
         for v in (4, 60):
@@ -330,14 +330,18 @@ class TestRunSkyscraper:
             qs.append(r.quality_pct)
         assert qs[1] > qs[0]
 
-    def test_no_cloud_ablation_spends_nothing(self, covid, covid_fit, cluster4):
-        test = covid.content(seed=0, n_days=0.1, start_day=2.0)
+    @pytest.mark.parametrize("name", ALL_WORKLOADS)
+    def test_zero_cloud_budget_spends_nothing(self, name):
+        """A zero budget profiles only on-premises placements, so no
+        pick spends, the switcher's forced one included."""
+        wl = get_workload(name)
+        test = wl.content(seed=0, n_days=TEST_DAYS, start_day=TRAIN_DAYS)
         r = run_skyscraper(
-            covid, covid_fit, cluster4, test,
-            cloud_budget_usd_per_day=5.0, seed=0,
-            enable_cloud=False,
+            wl, artifact((name, 0, TRAIN_DAYS, None)), make_cluster(4), test,
+            cloud_budget_usd_per_day=0.0, seed=0,
         )
         assert r.cloud_usd == 0.0
+        assert r.cloud_core_s == 0.0
 
     def test_no_typeb_at_least_as_accurate(self, covid, covid_fit, cluster4):
         test = covid.content(seed=0, n_days=0.25, start_day=2.0)
@@ -350,8 +354,6 @@ class TestRunSkyscraper:
         assert r.switch_accuracy_no_typeb >= r.switch_accuracy - 0.02
 
     def test_mosei_run_works(self, mosei_high, mosei_fit):
-        from repro.sim.cluster import make_cluster
-
         test = mosei_high.content(seed=0, n_days=0.2, start_day=2.0)
         r = run_skyscraper(
             mosei_high, mosei_fit, make_cluster(16), test,

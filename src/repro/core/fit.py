@@ -96,16 +96,26 @@ def fit_skyscraper(
     train_days: float | None = None,
     n_categories: int | None = None,
     sample_frac: float = 0.05,
-    plan_days: float = 2.0,
-    in_days: float = 2.0,
+    plan_days: float | None = None,
+    in_days: float | None = None,
     spark=None,
     train_forecast: bool = True,
     trace: ContentTrace | None = None,
 ) -> Fitted:
-    """Run the offline phase on ``train_days`` of historical data."""
+    """Run the offline phase on ``train_days`` of historical data.
+
+    ``plan_days`` and ``in_days`` (the forecaster's output and input
+    windows) default to ``min(2.0, train_days / 8.0)``.  With
+    ``train_forecast``, a training window too short for one forecast
+    training pair raises ``ValueError``."""
     timings: dict[str, float] = {}
     if train_days is None:
         train_days = wl.train_days
+    # the planning horizon must be learnable from the training window
+    # (the paper: 16 train days for a 2-day horizon, a 8:1 ratio)
+    horizon = min(2.0, train_days / 8.0)
+    plan_days = horizon if plan_days is None else plan_days
+    in_days = horizon if in_days is None else in_days
     if n_categories is None:
         n_categories = default_n_categories(wl)
 
@@ -181,12 +191,17 @@ def fit_skyscraper(
         )
     x, y = build_training_pairs(train_hists, spec)
     timings["create_forecast_training_data"] = time.perf_counter() - t0
+    if train_forecast and not len(x):
+        raise ValueError(
+            f"{train_days} training days hold no forecast training pair "
+            f"for in_days={in_days} and plan_days={plan_days}"
+        )
 
     # 5. train the forecasting model -----------------------------------------
     t0 = time.perf_counter()
-    forecaster = None
-    if train_forecast and len(x):
-        forecaster = train_forecaster(x, y, spec, seed=seed)
+    forecaster = (
+        train_forecaster(x, y, spec, seed=seed) if train_forecast else None
+    )
     timings["train_forecast_model"] = time.perf_counter() - t0
 
     return Fitted(

@@ -38,7 +38,7 @@ def forecast_ratios(fitted: Fitted, recent_hists: np.ndarray) -> np.ndarray:
     """Forecast r_c for the next planned interval.
 
     Falls back to the empirical mean of the recent histograms when no
-    forecaster was trained (used by ablation variants and tiny tests).
+    forecaster was trained (``fit_skyscraper(train_forecast=False)``).
     """
     recent_hists = np.atleast_2d(recent_hists)
     if fitted.forecaster is None:

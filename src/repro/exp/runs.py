@@ -87,16 +87,11 @@ def build_artifact(key: tuple, train: ContentTrace | None = None):
     if train is None:
         train = wl.content(seed=seed, n_days=train_days)
     if len(key) == 4:
-        # the planning horizon must be learnable from the training window
-        # (the paper: 16 train days for a 2-day horizon, a 8:1 ratio)
-        plan_days = min(2.0, train_days / 8.0)
         return fit_skyscraper(
             wl,
             seed=seed,
             train_days=train_days,
             n_categories=key[3],
-            plan_days=plan_days,
-            in_days=plan_days,
             trace=train,
         )
     every = wl.all_configs()

@@ -39,27 +39,14 @@ def covid_trace(covid):
 
 @pytest.fixture(scope="session")
 def covid_fit(covid):
-    """Small offline fit: 2 train days, short planning horizon."""
-    return fit_skyscraper(
-        covid,
-        seed=0,
-        train_days=2.0,
-        plan_days=0.25,
-        in_days=0.25,
-        sample_frac=0.01,
-    )
+    """Small offline fit: 2 train days, so the default quarter-day
+    planning horizon."""
+    return fit_skyscraper(covid, seed=0, train_days=2.0, sample_frac=0.01)
 
 
 @pytest.fixture(scope="session")
 def mosei_fit(mosei_high):
-    return fit_skyscraper(
-        mosei_high,
-        seed=0,
-        train_days=2.0,
-        plan_days=0.25,
-        in_days=0.25,
-        sample_frac=0.01,
-    )
+    return fit_skyscraper(mosei_high, seed=0, train_days=2.0, sample_frac=0.01)
 
 
 @pytest.fixture(scope="session")

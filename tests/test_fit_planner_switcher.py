@@ -34,6 +34,19 @@ class TestFitted:
         }
         assert all(v >= 0 for v in covid_fit.timings.values())
 
+    def test_default_horizon_is_an_eighth_of_training(self, covid_fit):
+        """2 training days give a quarter-day horizon, so the fit has
+        forecast training pairs and a forecaster."""
+        assert covid_fit.spec.out_days == covid_fit.spec.in_days == 0.25
+        assert covid_fit.forecaster is not None
+
+    def test_horizon_without_training_pairs_raises(self, covid):
+        from repro.core.fit import fit_skyscraper
+
+        with pytest.raises(ValueError, match="no forecast training pair"):
+            fit_skyscraper(covid, seed=0, train_days=2.0, plan_days=2.0,
+                           in_days=2.0, sample_frac=0.01)
+
     def test_default_category_counts(self, covid, mosei_high):
         from repro.core.fit import default_n_categories
 

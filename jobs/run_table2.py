@@ -1,38 +1,10 @@
 """Reproduce Table 2 (cost-quality trade-offs, Section 5.3 / Appendix C).
 
-Usage: spark-submit jobs/run_table2.py [--scale 1.0] [--workloads covid,mot]
-Writes results/table2.csv and prints the markdown table.
+Usage: python jobs/run_table2.py [--out results/table2.csv]
 """
-from __future__ import annotations
+from _session import run_job  # the script's directory is on sys.path
 
-import argparse
-import os
-import sys
-
-sys.path.insert(0, os.path.dirname(__file__))
-from _session import get_session  # noqa: E402
-
-from repro.exp.table2 import format_table2, run_table2  # noqa: E402
-
-
-def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--scale", type=float, default=1.0,
-                    help="fraction of the paper's test duration to simulate")
-    ap.add_argument("--workloads", type=str, default=None)
-    ap.add_argument("--out", type=str, default="results/table2.csv")
-    ap.add_argument("--local", action="store_true",
-                    help="run the grid in-process instead of via Spark")
-    args = ap.parse_args()
-    spark = None if args.local else get_session("table2")
-    workloads = args.workloads.split(",") if args.workloads else None
-    df = run_table2(spark, test_days_scale=args.scale, workloads=workloads)
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    df.to_csv(args.out, index=False)
-    print(format_table2(df))
-    if spark is not None:
-        spark.stop()
-
+from repro.exp.table2 import TABLE
 
 if __name__ == "__main__":
-    main()
+    run_job(TABLE)

@@ -1,31 +1,10 @@
 """Reproduce Table 3 (offline-phase runtimes, Section 5.5 / Appendix E).
 
-Usage: spark-submit jobs/run_table3.py
+Usage: python jobs/run_table3.py [--out results/table3.csv]
 """
-from __future__ import annotations
+from _session import run_job  # the script's directory is on sys.path
 
-import argparse
-import os
-import sys
-
-sys.path.insert(0, os.path.dirname(__file__))
-from _session import get_session  # noqa: E402
-
-from repro.exp.table3 import format_table3, run_table3  # noqa: E402
-
-
-def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--train-days", type=float, default=16.0)
-    ap.add_argument("--out", type=str, default="results/table3.csv")
-    args = ap.parse_args()
-    spark = get_session("table3")
-    df = run_table3(spark, train_days=args.train_days)
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    df.to_csv(args.out, index=False)
-    print(format_table3(df))
-    spark.stop()
-
+from repro.exp.table3 import TABLE
 
 if __name__ == "__main__":
-    main()
+    run_job(TABLE)

@@ -1,33 +1,10 @@
 """Reproduce Table 4 (switcher accuracy vs category count, Section 5.6).
 
-Usage: spark-submit jobs/run_table4.py
+Usage: python jobs/run_table4.py [--out results/table4.csv]
 """
-from __future__ import annotations
+from _session import run_job  # the script's directory is on sys.path
 
-import argparse
-import os
-import sys
-
-sys.path.insert(0, os.path.dirname(__file__))
-from _session import get_session  # noqa: E402
-
-from repro.exp.table4 import format_table4, run_table4  # noqa: E402
-
-
-def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--test-days", type=float, default=None)
-    ap.add_argument("--out", type=str, default="results/table4.csv")
-    ap.add_argument("--local", action="store_true")
-    args = ap.parse_args()
-    spark = None if args.local else get_session("table4")
-    df = run_table4(spark, test_days=args.test_days)
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    df.to_csv(args.out, index=False)
-    print(format_table4(df))
-    if spark is not None:
-        spark.stop()
-
+from repro.exp.table4 import TABLE
 
 if __name__ == "__main__":
-    main()
+    run_job(TABLE)

@@ -1,24 +1,10 @@
 """Reproduce Table 5 (forecast MAE vs horizon, Section 5.6 / App. I.3).
 
-Usage: python jobs/run_table5.py   (pure driver-side computation)
+Usage: python jobs/run_table5.py [--out results/table5.csv]
 """
-from __future__ import annotations
+from _session import run_job  # the script's directory is on sys.path
 
-import argparse
-import os
-
-from repro.exp.table5 import format_table5, run_table5
-
-
-def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--out", type=str, default="results/table5.csv")
-    args = ap.parse_args()
-    df = run_table5()
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    df.to_csv(args.out, index=False)
-    print(format_table5(df))
-
+from repro.exp.table5 import TABLE5
 
 if __name__ == "__main__":
-    main()
+    run_job(TABLE5)

@@ -1,24 +1,10 @@
 """Reproduce Table 6 (forecast MAE vs featurization, App. I.3).
 
-Usage: python jobs/run_table6.py
+Usage: python jobs/run_table6.py [--out results/table6.csv]
 """
-from __future__ import annotations
+from _session import run_job  # the script's directory is on sys.path
 
-import argparse
-import os
-
-from repro.exp.table5 import format_table6, run_table6
-
-
-def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--out", type=str, default="results/table6.csv")
-    args = ap.parse_args()
-    df = run_table6()
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    df.to_csv(args.out, index=False)
-    print(format_table6(df))
-
+from repro.exp.table5 import TABLE6
 
 if __name__ == "__main__":
-    main()
+    run_job(TABLE6)

@@ -80,7 +80,8 @@ def paper_table2() -> pd.DataFrame:
     )
 
 
-# Table 3: offline step -> paper runtime in minutes (COVID, 2x c2-standard-60)
+# Table 3: offline step, in the paper's order -> paper runtime in minutes
+# (COVID, 2x c2-standard-60)
 PAPER_TABLE3_MINUTES = {
     "filter_knob_configs": 6.0,
     "filter_task_placements": 4.0,

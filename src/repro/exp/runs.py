@@ -32,7 +32,6 @@ from repro.core.fit import fit_skyscraper
 from repro.core.offline import filter_knob_configs
 from repro.sim.cluster import Cluster, make_cluster
 from repro.sim.ingest import RunResult, run_skyscraper
-from repro.video.content import ContentTrace
 from repro.workloads import get_workload
 from repro.workloads.base import Config, Workload
 
@@ -79,13 +78,12 @@ def artifact_key(params: dict) -> tuple:
     return (workload, seed, train_days)
 
 
-def build_artifact(key: tuple, train: ContentTrace | None = None):
-    """The artifact of one :func:`artifact_key`; ``train`` is the key's
-    training trace when the caller already has it."""
+def build_artifact(key: tuple):
+    """The artifact of one :func:`artifact_key`, built from the key's
+    training trace."""
     workload, seed, train_days = key[:3]
     wl = get_workload(workload)
-    if train is None:
-        train = wl.content(seed=seed, n_days=train_days)
+    train = wl.content(seed=seed, n_days=train_days)
     if len(key) == 4:
         return fit_skyscraper(
             wl,

@@ -8,8 +8,7 @@ per key: the task builds the key's artifact from its own training trace,
 then runs the key's cells in grid order, each generating only its test
 trace, so no cell waits for another key's artifact.  Rows travel back
 as JSON with their grid index, and the driver restores grid order.
-``run_grid_local`` runs the same groups serially in-process, generating
-each training trace once for all keys that share it.
+``run_grid_local`` runs the same per-key groups serially in-process.
 """
 from __future__ import annotations
 
@@ -19,7 +18,6 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.exp import runs
-from repro.workloads import get_workload
 
 
 def group_cells(grid: list[dict]) -> dict[tuple, list[int]]:
@@ -31,24 +29,19 @@ def group_cells(grid: list[dict]) -> dict[tuple, list[int]]:
     return groups
 
 
-def run_group(key: tuple, cells: list[dict], train=None) -> list[dict]:
+def run_group(key: tuple, cells: list[dict]) -> list[dict]:
     """Rows of ``cells``, which all have artifact ``key``, in order; the
-    artifact is built once, from ``train`` when the caller has it."""
-    art = runs.build_artifact(key, train)
+    artifact is built once."""
+    art = runs.build_artifact(key)
     # looked up per call, so a wrapper installed on the module sees every cell
     return [runs.run_one({**params, "artifact": art}) for params in cells]
 
 
 def run_grid_local(grid: list[dict]) -> pd.DataFrame:
-    groups = group_cells(grid)
     rows: list = [None] * len(grid)
-    for name in dict.fromkeys(key[:3] for key in groups):
-        workload, seed, train_days = name
-        train = get_workload(workload).content(seed=seed, n_days=train_days)
-        for key in (k for k in groups if k[:3] == name):
-            idx = groups[key]
-            for i, row in zip(idx, run_group(key, [grid[i] for i in idx], train)):
-                rows[i] = row
+    for key, idx in group_cells(grid).items():
+        for i, row in zip(idx, run_group(key, [grid[i] for i in idx])):
+            rows[i] = row
     return pd.DataFrame(rows)
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 import pandas as pd
 
 from repro.exp.paper_numbers import PAPER_TABLE2_ROWS, paper_table2
+from repro.exp.report import Col, Table
 from repro.exp.sweep import run_grid
+from repro.workloads import get_workload
 
 
 def build_grid(
@@ -26,8 +28,6 @@ def build_grid(
     reported for the full duration regardless; quality percentages are
     averages, so shorter windows only add sampling noise).
     """
-    from repro.workloads import get_workload
-
     return [
         {
             "workload": w,
@@ -46,8 +46,6 @@ def run_table2(
 ) -> pd.DataFrame:
     """Run the Table 2 grid; returns measured rows joined with the
     paper's numbers.  Costs are scaled to the paper's full durations."""
-    from repro.workloads import get_workload
-
     grid = build_grid(
         test_days_scale=test_days_scale, seed=seed, workloads=workloads
     )
@@ -58,43 +56,39 @@ def run_table2(
     df["onprem_usd_full"] = df["onprem_usd"] * scale
     df["cloud_usd_full"] = df["cloud_usd"] * scale
     df["total_usd_full"] = df["onprem_usd_full"] + df["cloud_usd_full"]
-    merged = df.merge(
+    return df.merge(
         paper_table2(), on=["workload", "method", "vcpus"], how="left"
     )
-    return merged
 
 
-def format_table2(df: pd.DataFrame) -> str:
-    """Markdown rendering with paper-vs-measured columns side by side."""
-    cols = [
-        "workload",
-        "method",
-        "vcpus",
-        "paper_quality_pct",
-        "quality_pct",
-        "paper_cloud_usd",
-        "cloud_usd_full",
-        "paper_total_usd",
-        "total_usd_full",
-        "overflow",
-    ]
-    view = df[cols].copy()
-    view["quality_pct"] = view["quality_pct"].round(1)
-    view["cloud_usd_full"] = view["cloud_usd_full"].round(2)
-    view["total_usd_full"] = view["total_usd_full"].round(1)
-    header = (
-        "| workload | method | vCPUs | paper q% | ours q% | paper cloud$ "
-        "| ours cloud$ | paper total$ | ours total$ | overflow |"
-    )
-    sep = "|" + "---|" * 10
-    lines = [header, sep]
-    for _, r in view.iterrows():
-        pc = "-" if pd.isna(r.paper_cloud_usd) else f"{r.paper_cloud_usd:.1f}"
-        pq = "-" if pd.isna(r.paper_quality_pct) else f"{r.paper_quality_pct:.0f}"
-        pt = "-" if pd.isna(r.paper_total_usd) else f"{r.paper_total_usd:.1f}"
-        lines.append(
-            f"| {r.workload} | {r.method} | {r.vcpus} | {pq} | "
-            f"{r.quality_pct} | {pc} | {r.cloud_usd_full} | {pt} | "
-            f"{r.total_usd_full} | {bool(r.overflow)} |"
-        )
-    return "\n".join(lines)
+COLUMNS = (
+    Col("workload", "workload"),
+    Col("method", "method"),
+    Col("vcpus", "vCPUs"),
+    Col("paper_quality_pct", "paper q%", "{:.0f}"),
+    Col("quality_pct", "ours q%", digits=1),
+    Col("paper_cloud_usd", "paper cloud$", "{:.1f}"),
+    Col("cloud_usd_full", "ours cloud$", digits=2),
+    Col("paper_total_usd", "paper total$", "{:.1f}"),
+    Col("total_usd_full", "ours total$", digits=1),
+    Col("overflow", "overflow"),
+)
+
+
+def check_table2(df: pd.DataFrame) -> list[str]:
+    """Skyscraper never overflows, and it beats Static's quality at
+    equal vCPUs."""
+    static = df[df.method == "static"].set_index(["workload", "vcpus"])
+    fails = []
+    for r in df[df.method == "skyscraper"].itertuples():
+        cell = f"{r.workload} skyscraper@{r.vcpus}"
+        if r.overflow:
+            fails.append(f"{cell} overflowed its buffer")
+        q = static.quality_pct.get((r.workload, r.vcpus))
+        if q is not None and not r.quality_pct > q:
+            fails.append(f"{cell}: quality {r.quality_pct:.1f}% <= "
+                         f"Static's {q:.1f}%")
+    return fails
+
+
+TABLE = Table("table2", run_table2, COLUMNS, check_table2)

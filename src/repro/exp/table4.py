@@ -12,6 +12,7 @@ from __future__ import annotations
 import pandas as pd
 
 from repro.exp.paper_numbers import PAPER_TABLE4
+from repro.exp.report import Col, Table
 from repro.exp.sweep import run_grid
 
 CATEGORY_COUNTS = (1, 2, 3, 4, 8)
@@ -20,19 +21,11 @@ CATEGORY_COUNTS = (1, 2, 3, 4, 8)
 def build_grid(
     *, vcpus: int = 8, seed: int = 0, test_days: float | None = None
 ) -> list[dict]:
-    grid = []
-    for n_cat in CATEGORY_COUNTS:
-        cell = {
-            "workload": "covid",
-            "method": "skyscraper",
-            "vcpus": vcpus,
-            "seed": seed,
-            "n_categories": n_cat,
-        }
-        if test_days is not None:
-            cell["test_days"] = test_days
-        grid.append(cell)
-    return grid
+    cell = {"workload": "covid", "method": "skyscraper", "vcpus": vcpus,
+            "seed": seed}
+    if test_days is not None:
+        cell["test_days"] = test_days
+    return [{**cell, "n_categories": n} for n in CATEGORY_COUNTS]
 
 
 def run_table4(
@@ -43,25 +36,28 @@ def run_table4(
     df = df.sort_values("categories").reset_index(drop=True)
     df["accuracy_pct"] = (100.0 * df["switch_accuracy"]).round(1)
     df["paper_accuracy_pct"] = df["categories"].map(PAPER_TABLE4)
-    return df[
-        [
-            "categories",
-            "paper_accuracy_pct",
-            "accuracy_pct",
-            "quality_pct",
-            "switch_accuracy_no_typeb",
-        ]
-    ]
+    return df[["categories", "paper_accuracy_pct", "accuracy_pct",
+               "quality_pct", "switch_accuracy_no_typeb"]]
 
 
-def format_table4(df: pd.DataFrame) -> str:
-    lines = [
-        "| categories | paper accuracy | ours accuracy | ours quality% |",
-        "|---|---|---|---|",
-    ]
-    for _, r in df.iterrows():
-        lines.append(
-            f"| {int(r.categories)} | {r.paper_accuracy_pct}% | "
-            f"{r.accuracy_pct}% | {r.quality_pct:.1f} |"
-        )
-    return "\n".join(lines)
+COLUMNS = (
+    Col("categories", "categories"),
+    Col("paper_accuracy_pct", "paper accuracy", "{}%"),
+    Col("accuracy_pct", "ours accuracy", "{}%"),
+    Col("quality_pct", "ours quality%", "{:.1f}"),
+)
+
+
+def check_table4(df: pd.DataFrame) -> list[str]:
+    """Classification is perfect with one category, over 80% accurate
+    with three, and no more accurate with eight than with one."""
+    acc = dict(zip(df.categories, df.accuracy_pct))
+    one, three, eight = (acc.get(n, float("nan")) for n in (1, 3, 8))
+    return [msg for ok, msg in (
+        (one == 100.0, f"|C|=1: accuracy {one}%, not 100%"),
+        (three > 80.0, f"|C|=3: accuracy {three}%, not over 80%"),
+        (eight <= one, f"|C|=8: accuracy {eight}%, above |C|=1's {one}%"),
+    ) if not ok]
+
+
+TABLE = Table("table4", run_table4, COLUMNS, check_table4)

@@ -24,6 +24,7 @@ from repro.core.forecast import (
     train_forecaster,
 )
 from repro.exp.paper_numbers import PAPER_TABLE5, PAPER_TABLE6
+from repro.exp.report import Col, Table
 from repro.workloads import get_workload
 
 HORIZONS = (1.0, 2.0, 4.0, 8.0)
@@ -31,27 +32,29 @@ INPUT_DAYS = (0.5, 1.0, 2.0, 4.0, 8.0)
 SPLITS = (1, 2, 4, 8)
 
 
-def _label_series(wl, fitted, *, seed, train_days, test_days):
-    """Category labels over train+test, via the discriminator config."""
+def _fit_labels(name: str, *, seed, train_days, test_days):
+    """The workload, its category count and its category labels over
+    train+test, via the discriminator config."""
+    wl = get_workload(name)
+    fitted = fit_skyscraper(
+        wl, seed=seed, train_days=train_days, train_forecast=False
+    )
     full = wl.content(seed=seed, n_days=train_days + test_days)
-    return label_segments(
+    labels = label_segments(
         wl, full, fitted.configs, fitted.categories, fitted.k_label_idx,
         seed=seed,
     )
+    return wl, fitted.categories.n, labels
 
 
 def _train_test_mae(
-    labels: np.ndarray,
-    *,
-    seg_len: float,
-    n_categories: int,
-    train_days: float,
-    spec: ForecastSpec,
-    seed: int,
+    labels: np.ndarray, *, seg_len: float, train_days: float,
+    spec: ForecastSpec, seed: int,
 ) -> float:
     """Train on pairs ending before the train/test split; report test MAE."""
     hists = histogram_series(
-        labels, seg_len=seg_len, n_categories=n_categories, bin_s=spec.bin_s
+        labels, seg_len=seg_len, n_categories=spec.n_categories,
+        bin_s=spec.bin_s,
     )
     x, y = build_training_pairs(hists, spec)
     # pair index t corresponds to forecast origin bin (t + in_bins)
@@ -67,108 +70,77 @@ def _train_test_mae(
 
 
 def run_table5(
-    *,
-    workloads=("covid", "mot"),
-    train_days: float = 16.0,
-    test_days: float = 8.0,
-    seed: int = 0,
-    horizons=HORIZONS,
+    *, workloads=("covid", "mot"), train_days: float = 16.0,
+    test_days: float = 8.0, seed: int = 0, horizons=HORIZONS,
 ) -> pd.DataFrame:
     rows = []
     for name in workloads:
-        wl = get_workload(name)
-        fitted = fit_skyscraper(
-            wl, seed=seed, train_days=train_days, train_forecast=False
-        )
-        labels = _label_series(
-            wl, fitted, seed=seed, train_days=train_days, test_days=test_days
+        wl, n_cat, labels = _fit_labels(
+            name, seed=seed, train_days=train_days, test_days=test_days
         )
         for h in horizons:
-            spec = ForecastSpec(
-                n_categories=fitted.categories.n, out_days=h
-            )
             err = _train_test_mae(
-                labels,
-                seg_len=wl.seg_len,
-                n_categories=fitted.categories.n,
-                train_days=train_days,
-                spec=spec,
-                seed=seed,
+                labels, seg_len=wl.seg_len, train_days=train_days,
+                spec=ForecastSpec(n_categories=n_cat, out_days=h), seed=seed,
             )
-            rows.append(
-                {
-                    "workload": name,
-                    "horizon_days": h,
-                    "paper_mae": PAPER_TABLE5.get(name, {}).get(int(h)),
-                    "mae": round(err, 4),
-                }
-            )
+            rows.append({"workload": name, "horizon_days": h,
+                         "paper_mae": PAPER_TABLE5.get(name, {}).get(int(h)),
+                         "mae": round(err, 4)})
     return pd.DataFrame(rows)
 
 
 def run_table6(
-    *,
-    train_days: float = 16.0,
-    test_days: float = 8.0,
-    seed: int = 0,
-    input_days=INPUT_DAYS,
-    splits=SPLITS,
+    *, train_days: float = 16.0, test_days: float = 8.0, seed: int = 0,
+    input_days=INPUT_DAYS, splits=SPLITS,
 ) -> pd.DataFrame:
-    wl = get_workload("covid")
-    fitted = fit_skyscraper(
-        wl, seed=seed, train_days=train_days, train_forecast=False
-    )
-    labels = _label_series(
-        wl, fitted, seed=seed, train_days=train_days, test_days=test_days
+    wl, n_cat, labels = _fit_labels(
+        "covid", seed=seed, train_days=train_days, test_days=test_days
     )
     rows = []
     for in_d in input_days:
         for s in splits:
             spec = ForecastSpec(
-                n_categories=fitted.categories.n,
-                in_days=in_d,
-                n_splits=s,
-                out_days=2.0,
+                n_categories=n_cat, in_days=in_d, n_splits=s, out_days=2.0
             )
             err = _train_test_mae(
-                labels,
-                seg_len=wl.seg_len,
-                n_categories=fitted.categories.n,
-                train_days=train_days,
-                spec=spec,
-                seed=seed,
+                labels, seg_len=wl.seg_len, train_days=train_days,
+                spec=spec, seed=seed,
             )
-            rows.append(
-                {
-                    "input_days": in_d,
-                    "splits": s,
-                    "paper_mae": PAPER_TABLE6.get((in_d, s))
-                    or PAPER_TABLE6.get((int(in_d), s)),
-                    "mae": round(err, 4),
-                }
-            )
+            # the key (1.0, 8) finds the paper's (1, 8)
+            rows.append({"input_days": in_d, "splits": s,
+                         "paper_mae": PAPER_TABLE6.get((in_d, s)),
+                         "mae": round(err, 4)})
     return pd.DataFrame(rows)
 
 
-def format_table5(df: pd.DataFrame) -> str:
-    lines = [
-        "| workload | horizon (days) | paper MAE | ours MAE |",
-        "|---|---|---|---|",
+def check_table5(df: pd.DataFrame) -> list[str]:
+    """Every MAE is well below the uniform prediction's (under 0.25)."""
+    return [
+        f"{r.workload} {r.horizon_days:g}-day horizon: MAE {r.mae}, "
+        "not under 0.25"
+        for r in df.itertuples() if not pd.isna(r.mae) and not r.mae < 0.25
     ]
-    for _, r in df.iterrows():
-        lines.append(
-            f"| {r.workload} | {r.horizon_days:.0f} | {r.paper_mae} | {r.mae} |"
-        )
-    return "\n".join(lines)
 
 
-def format_table6(df: pd.DataFrame) -> str:
-    lines = [
-        "| input days | splits | paper MAE | ours MAE |",
-        "|---|---|---|---|",
-    ]
-    for _, r in df.iterrows():
-        lines.append(
-            f"| {r.input_days} | {int(r.splits)} | {r.paper_mae} | {r.mae} |"
-        )
-    return "\n".join(lines)
+def check_table6(df: pd.DataFrame) -> list[str]:
+    """With 1 input day, 8 splits are at most 0.05 worse than 1 split."""
+    by = df.set_index(["input_days", "splits"]).mae
+    one, eight = (by.get((1.0, s), float("nan")) for s in (1, 8))
+    if eight <= one + 0.05:
+        return []
+    return [f"1 input day: MAE {eight} with 8 splits, over {one} + 0.05 "
+            "with 1 split"]
+
+
+MAE_COLUMNS = (Col("paper_mae", "paper MAE"), Col("mae", "ours MAE"))
+TABLE5 = Table(
+    "table5", run_table5,
+    (Col("workload", "workload"),
+     Col("horizon_days", "horizon (days)", "{:.0f}")) + MAE_COLUMNS,
+    check_table5, spark=False,
+)
+TABLE6 = Table(
+    "table6", run_table6,
+    (Col("input_days", "input days"), Col("splits", "splits")) + MAE_COLUMNS,
+    check_table6, spark=False,
+)

@@ -15,7 +15,8 @@ from repro.exp.paper_numbers import (
 )
 from repro.exp.runs import run_one
 from repro.exp.sweep import run_grid_local, run_grid_spark
-from repro.exp.table2 import build_grid, format_table2, run_table2
+from repro.exp.report import markdown
+from repro.exp.table2 import COLUMNS, build_grid, run_table2
 from repro.exp.table5 import run_table5, run_table6
 
 TINY = {"train_days": 1.0, "test_days": 0.25}
@@ -160,27 +161,19 @@ class TestSweep:
 
     def test_local_builds_each_artifact_once(self, monkeypatch):
         from repro.exp import runs
-        from repro.workloads.base import Workload
 
-        fits, trains = Counter(), Counter()
-        fit, content = runs.fit_skyscraper, Workload.content
+        fits = Counter()
+        fit = runs.fit_skyscraper
 
         def counted_fit(wl, **kw):
             fits[wl.name, kw["seed"], kw["train_days"], kw["n_categories"]] += 1
             return fit(wl, **kw)
 
-        def counted_content(self, *, seed, n_days, start_day=0.0):
-            if start_day == 0.0:
-                trains[self.name, seed, n_days] += 1
-            return content(self, seed=seed, n_days=n_days, start_day=start_day)
-
         monkeypatch.setattr(runs, "fit_skyscraper", counted_fit)
-        monkeypatch.setattr(Workload, "content", counted_content)
         extra = {**MIXED[0], "n_categories": 2}
         df = run_grid_local(MIXED + [extra])
         assert len(df) == 5
         assert fits == {("covid", 0, 1.0, None): 1, ("covid", 0, 1.0, 2): 1}
-        assert trains == {("covid", 0, 1.0): 1}
 
     def test_one_task_per_artifact_key(self, interleaved_spark, monkeypatch):
         """The grid is one stage of one task per distinct key, and a key's
@@ -231,7 +224,7 @@ class TestTable2:
             static.sort_values("vcpus").paper_total_usd,
             rtol=0.01,
         )
-        md = format_table2(df)
+        md = markdown(df, COLUMNS)
         assert md.count("\n") == len(df) + 1
 
     def test_cost_model_matches_paper_exactly(self):

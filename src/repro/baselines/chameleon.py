@@ -70,7 +70,6 @@ def run_chameleon(
             int(ok[np.argmax(mean_q[ok])]) if len(ok) else cheapest
         )
     k_epoch = cheapest
-    extras = {"profiling_core_s": 0.0}
 
     def decide(i, g, rt, usd, queue):
         nonlocal k_epoch
@@ -86,9 +85,6 @@ def run_chameleon(
             )
             if profile_runtime > 0:
                 queue.ready += profile_runtime
-                extras["profiling_core_s"] += (
-                    profile_runtime * cluster.n_cores
-                )
             # Pick the cheapest configuration whose profiled quality is
             # within ``QUALITY_SLACK`` of the best profiled quality.
             prof_q = prep.qual_obs[:, lo : i + 1].mean(axis=1)
@@ -103,6 +99,4 @@ def run_chameleon(
                 k = cheapest
         return k, 0
 
-    return simulate(
-        prep, cluster, tables, decide, method="chameleon", extras=extras
-    )
+    return simulate(prep, cluster, tables, decide, method="chameleon")

@@ -91,10 +91,5 @@ def run_static(
         wl, [config], cluster, prep.mult_grid, enable_cloud=False
     )
     return simulate(
-        prep,
-        cluster,
-        tables,
-        lambda *segment: (0, 0),
-        method="static",
-        extras={"config": wl.config_dict(config)},
+        prep, cluster, tables, lambda *segment: (0, 0), method="static"
     )

@@ -57,7 +57,7 @@ class Fitted:
     configs: list[Config]  # filtered set K, sorted by increasing work
     work: np.ndarray  # (K,) core-seconds per video-second
     categories: Categories  # cluster centers (C, K)
-    forecaster: MLP | None
+    forecaster: MLP
     spec: ForecastSpec
     mean_mult: float  # mean work multiplier in training data
     train_hists: np.ndarray  # (n_bins, C) training histogram series
@@ -99,15 +99,14 @@ def fit_skyscraper(
     plan_days: float | None = None,
     in_days: float | None = None,
     spark=None,
-    train_forecast: bool = True,
     trace: ContentTrace | None = None,
 ) -> Fitted:
     """Run the offline phase on ``train_days`` of historical data.
 
     ``plan_days`` and ``in_days`` (the forecaster's output and input
-    windows) default to ``min(2.0, train_days / 8.0)``.  With
-    ``train_forecast``, a training window too short for one forecast
-    training pair raises ``ValueError``."""
+    windows) default to ``min(2.0, train_days / 8.0)``.  A training
+    window too short for one forecast training pair raises
+    ``ValueError``."""
     timings: dict[str, float] = {}
     if train_days is None:
         train_days = wl.train_days
@@ -180,18 +179,16 @@ def fit_skyscraper(
             labels,
             seg_len=wl.seg_len,
             n_categories=n_categories,
-            bin_s=spec.bin_s,
         )
     else:
         train_hists = histogram_series(
             labels,
             seg_len=wl.seg_len,
             n_categories=n_categories,
-            bin_s=spec.bin_s,
         )
     x, y = build_training_pairs(train_hists, spec)
     timings["create_forecast_training_data"] = time.perf_counter() - t0
-    if train_forecast and not len(x):
+    if not len(x):
         raise ValueError(
             f"{train_days} training days hold no forecast training pair "
             f"for in_days={in_days} and plan_days={plan_days}"
@@ -199,9 +196,7 @@ def fit_skyscraper(
 
     # 5. train the forecasting model -----------------------------------------
     t0 = time.perf_counter()
-    forecaster = (
-        train_forecaster(x, y, spec, seed=seed) if train_forecast else None
-    )
+    forecaster = train_forecaster(x, y, spec, seed=seed)
     timings["train_forecast_model"] = time.perf_counter() - t0
 
     return Fitted(

@@ -22,7 +22,7 @@ import pandas as pd
 
 from repro.core.mlp import MLP
 
-DEFAULT_BIN_S = 900.0  # "a training point every 15 minutes" (App. K)
+BIN_S = 900.0  # "a training point every 15 minutes" (App. K)
 
 
 def histogram_series(
@@ -30,15 +30,14 @@ def histogram_series(
     *,
     seg_len: float,
     n_categories: int,
-    bin_s: float = DEFAULT_BIN_S,
 ) -> np.ndarray:
     """(n_bins, C) per-bin category frequency histograms (rows sum to 1).
 
-    Bin b covers segments with arrival time in [b*bin_s, (b+1)*bin_s).
+    Bin b covers segments with arrival time in [b*BIN_S, (b+1)*BIN_S).
     A trailing partial bin is kept (normalized over its own segments).
     """
     labels = np.asarray(labels, dtype=int)
-    bins = (np.arange(len(labels)) * seg_len / bin_s).astype(int)
+    bins = (np.arange(len(labels)) * seg_len / BIN_S).astype(int)
     n_bins = int(bins.max()) + 1 if len(labels) else 0
     hist = np.zeros((n_bins, n_categories))
     np.add.at(hist, (bins, labels), 1.0)
@@ -53,14 +52,13 @@ def histogram_series_spark(
     *,
     seg_len: float,
     n_categories: int,
-    bin_s: float = DEFAULT_BIN_S,
 ) -> np.ndarray:
     """Same histograms via a Spark group-by + pivot dataflow."""
     from pyspark.sql import functions as F
 
     pdf = pd.DataFrame(
         {
-            "bin": (np.arange(len(labels)) * seg_len / bin_s).astype(int),
+            "bin": (np.arange(len(labels)) * seg_len / BIN_S).astype(int),
             "label": np.asarray(labels, dtype=int),
         }
     )
@@ -87,15 +85,14 @@ class ForecastSpec:
     in_days: float = 2.0  # T_input
     n_splits: int = 8
     out_days: float = 2.0  # planned interval
-    bin_s: float = DEFAULT_BIN_S
 
     @property
     def in_bins(self) -> int:
-        return max(1, int(round(self.in_days * 86400.0 / self.bin_s)))
+        return max(1, int(round(self.in_days * 86400.0 / BIN_S)))
 
     @property
     def out_bins(self) -> int:
-        return max(1, int(round(self.out_days * 86400.0 / self.bin_s)))
+        return max(1, int(round(self.out_days * 86400.0 / BIN_S)))
 
     @property
     def in_dim(self) -> int:

@@ -35,17 +35,9 @@ class KnobPlan:
 
 
 def forecast_ratios(fitted: Fitted, recent_hists: np.ndarray) -> np.ndarray:
-    """Forecast r_c for the next planned interval.
-
-    Falls back to the empirical mean of the recent histograms when no
-    forecaster was trained (``fit_skyscraper(train_forecast=False)``).
-    """
-    recent_hists = np.atleast_2d(recent_hists)
-    if fitted.forecaster is None:
-        r = recent_hists.mean(axis=0)
-    else:
-        x = featurize_window(fitted.spec, recent_hists)[None, :]
-        r = fitted.forecaster.predict_proba(x)[0]
+    """Forecast r_c for the next planned interval."""
+    x = featurize_window(fitted.spec, recent_hists)[None, :]
+    r = fitted.forecaster.predict_proba(x)[0]
     r = np.clip(r, 0.0, None)
     s = r.sum()
     return r / s if s > 0 else np.full(len(r), 1.0 / len(r))

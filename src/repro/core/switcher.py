@@ -127,15 +127,17 @@ class KnobSwitcher:
     ) -> tuple[int, int]:
         """Step 3: pick (configuration, placement index).
 
-        ``feasible(k, p)`` must return whether using placement p of
-        configuration k keeps the buffer from overflowing (and any
-        cloud-credit constraint the caller enforces).  Placements are
-        scanned cheapest first; configurations fall back from the
-        desired one to less qualitative ones.  If nothing is feasible,
-        the least qualitative configuration's fastest placement is
-        returned (the caller's provisioning contract guarantees this
-        never overflows in practice; the ingestion simulator records an
-        overflow flag otherwise).
+        ``feasible(k, p)`` must return whether the caller admits
+        placement p of configuration k: in the ingestion simulator, no
+        buffer overflow at that placement's own finish and enough cloud
+        credit.  Placements are scanned cheapest first; configurations
+        fall back from the desired one to less qualitative ones.  If
+        nothing is feasible, the least qualitative configuration's
+        fastest placement is returned.  Neither that forced pick nor an
+        admitted one is guaranteed to keep the buffer within Eq. 1:
+        segments captured later can still overflow it, even inside the
+        provisioning contract; the simulator records the overflow
+        (ROADMAP item 1).
         """
         k_desired = self.pick_config(category)
         for k in self.fallback_order(k_desired):

@@ -17,6 +17,7 @@ import pandas as pd
 
 from repro.core.fit import fit_skyscraper, label_segments
 from repro.core.forecast import (
+    BIN_S,
     ForecastSpec,
     build_training_pairs,
     histogram_series,
@@ -36,9 +37,7 @@ def _fit_labels(name: str, *, seed, train_days, test_days):
     """The workload, its category count and its category labels over
     train+test, via the discriminator config."""
     wl = get_workload(name)
-    fitted = fit_skyscraper(
-        wl, seed=seed, train_days=train_days, train_forecast=False
-    )
+    fitted = fit_skyscraper(wl, seed=seed, train_days=train_days)
     full = wl.content(seed=seed, n_days=train_days + test_days)
     labels = label_segments(
         wl, full, fitted.configs, fitted.categories, fitted.k_label_idx,
@@ -53,13 +52,12 @@ def _train_test_mae(
 ) -> float:
     """Train on pairs ending before the train/test split; report test MAE."""
     hists = histogram_series(
-        labels, seg_len=seg_len, n_categories=spec.n_categories,
-        bin_s=spec.bin_s,
+        labels, seg_len=seg_len, n_categories=spec.n_categories
     )
     x, y = build_training_pairs(hists, spec)
     # pair index t corresponds to forecast origin bin (t + in_bins)
     origins = np.arange(spec.in_bins, spec.in_bins + len(x))
-    train_bins = int(round(train_days * 86400.0 / spec.bin_s))
+    train_bins = int(round(train_days * 86400.0 / BIN_S))
     is_train = origins + spec.out_bins <= train_bins
     is_test = origins >= train_bins
     if is_train.sum() < 4 or is_test.sum() < 1:

@@ -12,21 +12,26 @@ of Section 5.6.
 baselines differ only in the ``decide`` policy that picks each
 segment's configuration and placement.
 
-The simulator enforces the V-ETL contract of Eq. 1: the knob switcher
-never admits a placement whose predicted completion would push the
-buffered (arrived-but-unprocessed) bytes beyond the buffer size, falling
-back to cheaper configurations instead.
+Eq. 1 (the buffered, arrived-but-unprocessed bytes never exceed the
+buffer) is checked, not enforced: Skyscraper's switcher refuses a
+placement only if the backlog at that placement's own finish would pass
+``BUFFER_HEADROOM`` x the buffer (:meth:`SegmentQueue.would_overflow`),
+falling back to cheaper configurations.  Segments captured after that
+finish can still push the backlog over the buffer; such an overflow is
+recorded in ``overflow`` and ``buffer_peak_bytes``, not prevented
+(ROADMAP item 1).
 """
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.core.fit import Fitted
+from repro.core.forecast import BIN_S
 from repro.core.planner import make_plan
 from repro.core.switcher import KnobSwitcher
 from repro.core.placement import frontier_placements, multiplier_grid
@@ -61,10 +66,9 @@ class RunResult:
     n_switches: int
     switch_accuracy: float = float("nan")
     switch_accuracy_no_typeb: float = float("nan")
-    extras: dict = field(default_factory=dict)
 
     def to_row(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "extras"}
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +270,6 @@ def finalize(
     queue: SegmentQueue,
     cloud_usd: float,
     cloud_core_s: float,
-    extras: dict | None = None,
 ) -> RunResult:
     wl, trace = prep.wl, prep.trace
     n = trace.n_segments
@@ -295,7 +298,6 @@ def finalize(
         buffer_peak_bytes=queue.peak,
         overflow=queue.overflowed,
         n_switches=int((np.diff(chosen_k) != 0).sum()),
-        extras=extras or {},
     )
 
 
@@ -311,7 +313,6 @@ def simulate(
     decide: Callable[..., tuple[int, int]],
     *,
     method: str,
-    extras: dict | None = None,
 ) -> RunResult:
     """Ingest ``prep.trace`` on ``cluster`` with one decision per segment.
 
@@ -321,7 +322,7 @@ def simulate(
     placement's runtime and cloud cost at that multiplier.  ``decide``
     may consult (and, for profiling work, delay) ``queue``.  The segment
     is then processed with the chosen placement's runtime and its cloud
-    cost is added to the spend.  ``extras`` goes on to the result.
+    cost is added to the spend.
     """
     # [g][k][p] as Python floats: no numpy scalar reads per segment
     grid = range(len(prep.mult_grid))
@@ -346,7 +347,6 @@ def simulate(
         queue=queue,
         cloud_usd=cloud_usd,
         cloud_core_s=cloud_core_s,
-        extras=extras,
     )
 
 
@@ -391,7 +391,7 @@ def run_skyscraper(
     plan_interval_segments = max(
         1, int(round(fitted.spec.out_days * 86400.0 / seg_len))
     )
-    bin_segments = max(1, int(round(fitted.spec.bin_s / seg_len)))
+    bin_segments = max(1, int(round(BIN_S / seg_len)))
     horizon = int(round(fitted.spec.in_bins * 4))  # bounded label history
     qual_obs = prep.qual_obs
     mult = trace.work_multiplier

@@ -115,9 +115,6 @@ class Workload(abc.ABC):
             for v in itertools.product(*(k.domain for k in self.knobs))
         ]
 
-    def config_dict(self, cfg: Config) -> dict:
-        return {k.name: v for k, v in zip(self.knobs, cfg)}
-
     # -- cost / quality models ---------------------------------------------
     def work_per_vs(self, cfg: Config) -> float:
         """core-seconds of work per second of video, at multiplier 1.

@@ -6,6 +6,7 @@ import functools
 import numpy as np
 import pytest
 
+from repro.baselines import chameleon
 from repro.baselines.chameleon import run_chameleon
 from repro.baselines.optimum import optimum_choices, run_optimum
 from repro.baselines.static import best_static_config, run_static
@@ -99,13 +100,15 @@ class TestStatic:
         assert res.cloud_usd == 0.0
         assert res.n_switches == 0
         assert not res.overflow
-        assert "config" in res.extras
 
     def test_explicit_config(self, covid, covid_data):
         train, test = covid_data
         cfg = covid.cheapest_config()
         res = run_static(covid, make_cluster(8), test, train, seed=0, config=cfg)
-        assert res.extras["config"] == covid.config_dict(cfg)
+        # COVID's work multiplier is 1, so every segment costs cfg's work
+        assert res.work_core_s == pytest.approx(
+            covid.work_per_vs(cfg) * test.n_segments * covid.seg_len
+        )
 
     def test_quality_increases_with_machine(self, covid, covid_data):
         train, test = covid_data
@@ -150,10 +153,14 @@ class TestStatic:
 
 
 class TestChameleon:
-    def test_profiling_overhead_positive(self, covid, covid_data):
+    def test_profiling_overhead_positive(self, covid, covid_data, monkeypatch):
+        """Profiling work delays the queue: the default run peaks above
+        a run that profiles only once, at segment 0."""
         train, test = covid_data
         res = run_chameleon(covid, make_cluster(8), test, train, seed=0)
-        assert res.extras["profiling_core_s"] > 0
+        monkeypatch.setattr(chameleon, "PROFILE_EVERY_S", 1e9)
+        once = run_chameleon(covid, make_cluster(8), test, train, seed=0)
+        assert res.buffer_peak_bytes > once.buffer_peak_bytes
 
     def test_switches(self, covid):
         train = covid.content(seed=0, n_days=1.0)

@@ -95,14 +95,6 @@ class TestPlanner:
         assert r.sum() == pytest.approx(1.0)
         assert (r >= 0).all()
 
-    def test_fallback_without_forecaster(self, covid_fit):
-        import dataclasses
-
-        nofc = dataclasses.replace(covid_fit, forecaster=None)
-        hists = covid_fit.train_hists[:10]
-        r = forecast_ratios(nofc, hists)
-        np.testing.assert_allclose(r, hists.mean(axis=0) / hists.mean(axis=0).sum())
-
     def test_plan_budget_and_shape(self, covid_fit):
         cl = make_cluster(8)
         plan = make_plan(

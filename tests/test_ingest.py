@@ -1,6 +1,7 @@
 """Tests for the online ingestion simulator (Section 4 + Appendix M)."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.forecast import BIN_S
 from repro.sim.cluster import make_cluster
 from repro.sim.ingest import (
+    RunResult,
     SegmentQueue,
     build_placement_tables,
     multiplier_grid,
@@ -307,6 +310,11 @@ class TestRunSkyscraper:
         assert 0.0 <= sky_run.switch_accuracy <= 1.0
         assert 0.0 <= sky_run.switch_accuracy_no_typeb <= 1.0
 
+    def test_row_carries_every_field(self, sky_run):
+        assert set(sky_run.to_row()) == {
+            f.name for f in dataclasses.fields(RunResult)
+        }
+
     def test_switches_happen(self, sky_run):
         assert sky_run.n_switches > 10
 
@@ -384,7 +392,7 @@ class TestRunSkyscraper:
         )
         horizon = 4 * covid_fit.spec.in_bins
         spec = covid_fit.spec
-        bins_per_plan = int(round(spec.out_days * 86400.0 / spec.bin_s))
+        bins_per_plan = int(round(spec.out_days * 86400.0 / BIN_S))
         assert seen[0] is covid_fit.train_hists
         assert [len(h) for h in seen[1:]] == [
             min(j * bins_per_plan, horizon) for j in range(1, 6)

@@ -110,11 +110,6 @@ class TestCostModel:
         assert w_max > 32
         assert w_min < 1
 
-    def test_config_dict_roundtrip(self, wl):
-        cfg = wl.all_configs()[0]
-        d = wl.config_dict(cfg)
-        assert tuple(d[k.name] for k in wl.knobs) == cfg
-
 
 class TestQualityModel:
     def test_capability_bounds(self, wl):

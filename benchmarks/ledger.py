@@ -69,6 +69,16 @@ _FIT_Q = ("from repro.core.categories import quality_vectors_numpy, "
           "configs = filter_knob_configs(wl, train, seed=0)\n"
           "idx = sample_segment_indices(train, sample_frac=0.05, seed=0)\n"
           "q = quality_vectors_numpy(wl, train, configs, idx, seed=0)\n")
+# half a day of COVID after its 16 training days, every 5th configuration
+# on every 8th segment
+_DETECT = ("from repro.cv.ops import detect_segments\n"
+           "from repro.video.stream import trace_to_pandas\n"
+           "from repro.workloads import get_workload\n"
+           "wl = get_workload('covid')\n"
+           "pdf = trace_to_pandas(wl, wl.content(seed=0, n_days=0.5, "
+           "start_day=16.0))\n"
+           "cfgs = wl.all_configs()[::5]\n"
+           "mix = list(pdf.groupby(pdf['segment_id'] % len(cfgs)))\n")
 KERNELS = {
     "mean_quality_all_configs_covid_16d_s": (
         _TRAIN.format("covid"), "wl.mean_quality(wl.all_configs(), train)"),
@@ -78,6 +88,8 @@ KERNELS = {
         _TRAIN.format("covid") + _FIT_Q, "kmeans(q, 3, seed=0)"),
     "kmeans_fit_mot_seed0_s": (
         _TRAIN.format("mot") + _FIT_Q, "kmeans(q, 3, seed=0)"),
+    "detect_segments_covid_halfday_s": (
+        _DETECT, "[detect_segments(wl, cfgs[k], g, seed=0) for k, g in mix]"),
 }
 # the Tier-1 command of ROADMAP.md, without its outer timeout
 TIER1 = [sys.executable, "-m", "pytest", "tests/", "-q",

@@ -7,6 +7,15 @@ Each segment carries its knob configuration in a ``config_id`` column
 configuration), and each partition batch groups by configuration before
 invoking the UDFs — the distributed analogue of the Ray-actor dispatch
 in the paper's implementation (Section 5.1).
+
+The Transform is a stage of its own with one task per slot: its input
+is hash-partitioned on ``segment_id`` to ``defaultParallelism``
+partitions.  A Python operator costs a worker round trip per task
+(about 140 ms of slot time on ``local[4]``, whatever it computes), and
+the vectorized UDFs take a small share of that, so the task count, not
+the kernel, bounds the stage.  The Exchange, unlike ``coalesce``, also
+keeps the Transform's worker apart from the Extract's: chained Python
+operators would keep two workers per task alive.
 """
 from __future__ import annotations
 
@@ -36,4 +45,6 @@ def transform_segments_switched(
             for cid, grp in b.groupby("config_id"):
                 yield detect_segments(wl, configs[int(cid)], grp, seed=seed)
 
-    return seg_df.mapInPandas(run, schema=DETECTION_SCHEMA)
+    slots = seg_df.sparkSession.sparkContext.defaultParallelism
+    return seg_df.repartition(slots, "segment_id").mapInPandas(
+        run, schema=DETECTION_SCHEMA)

@@ -99,6 +99,37 @@ class ContentParams:
             object.__setattr__(self, "drift_scale", (1.0,) * d)
 
 
+def _counters(key: int, ids: np.ndarray) -> np.ndarray:
+    """The splitmix64 states of counters ``ids`` under ``key``: a new
+    uint64 column, ids plus the key times the golden gamma (mod 2**64)."""
+    h = np.array(ids, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        h += np.uint64((key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
+    return h
+
+
+def _mix(z: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64's finalizer on the uint64 column ``z``, in place;
+    ``tmp`` is a scratch column of the same shape."""
+    with np.errstate(over="ignore"):
+        z ^= np.right_shift(z, np.uint64(30), out=tmp)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= np.right_shift(z, np.uint64(27), out=tmp)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= np.right_shift(z, np.uint64(31), out=tmp)
+
+
+def hash_uniform(key: int, ids: np.ndarray) -> np.ndarray:
+    """Uniform [0, 1) draws as a pure function of (key, counter): the top
+    53 bits of the mixed counter state, as in :func:`hash_normal`."""
+    out = np.empty(np.shape(ids))
+    h = _counters(key, ids)
+    _mix(h, out.view(np.uint64))
+    h >>= np.uint64(11)
+    np.multiply(h, 2.0**-53, out=out)
+    return out
+
+
 def hash_normal(key: int, ids: np.ndarray) -> np.ndarray:
     """Standard-normal noise as a pure function of (key, segment id).
 
@@ -112,20 +143,11 @@ def hash_normal(key: int, ids: np.ndarray) -> np.ndarray:
     """
     out = np.empty(np.shape(ids))
     tmp = out.view(np.uint64)
-
-    def mix(z: np.ndarray) -> None:  # splitmix64's finalizer
-        z ^= np.right_shift(z, np.uint64(30), out=tmp)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= np.right_shift(z, np.uint64(27), out=tmp)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= np.right_shift(z, np.uint64(31), out=tmp)
-
+    h1 = _counters(key, ids)
     with np.errstate(over="ignore"):
-        h1 = np.array(ids, dtype=np.uint64)
-        h1 += np.uint64((key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
         h2 = h1 + np.uint64(0x632BE59BD9B4E019)
-        mix(h1)
-        mix(h2)
+    _mix(h1, tmp)
+    _mix(h2, tmp)
     # u = (h >> 11) * 2**-53: the top 53 bits as a float in [0, 1)
     h1 >>= np.uint64(11)
     h2 >>= np.uint64(11)

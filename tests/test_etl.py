@@ -8,6 +8,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cv.ops import detect_segments, objects_present, reported_quality
 from repro.etl.load import (
@@ -27,6 +29,50 @@ from repro.workloads import get_workload
 def seg_pdf(covid):
     tr = covid.content(seed=0, n_days=0.02)
     return trace_to_pandas(covid, tr)
+
+
+@pytest.fixture(scope="module")
+def row_pools():
+    """80 segment rows per workload from half a day at day 10: the 40
+    with the most objects (hundreds on MOSEI-HIGH) and 40 spread over
+    the rest."""
+    pools = {}
+    for name in ("covid", "mosei-high"):
+        wl = get_workload(name)
+        pdf = trace_to_pandas(wl, wl.content(seed=0, n_days=0.5, start_day=10.0))
+        n_obj = objects_present(
+            wl, pdf[list(wl.dims)].to_numpy(), pdf["mult"].to_numpy()
+        )
+        busiest = np.argsort(-n_obj, kind="stable")[:40]
+        rest = np.setdiff1d(np.arange(len(pdf)), busiest)
+        spread = rest[np.linspace(0, len(rest) - 1, 40).astype(int)]
+        pools[name] = pdf.iloc[np.union1d(busiest, spread)].reset_index(
+            drop=True
+        )
+    return pools
+
+
+@st.composite
+def detector_batches(draw):
+    """(workload name, config index, seed, pool row indices)."""
+    name = draw(st.sampled_from(["covid", "mosei-high"]))
+    n_cfg = len(get_workload(name).all_configs())
+    return (
+        name,
+        draw(st.integers(0, n_cfg - 1)),
+        draw(st.integers(0, 3)),
+        draw(st.lists(st.integers(0, 79), min_size=1, max_size=40,
+                      unique=True)),
+    )
+
+
+def _detect(name, k, seed, pdf):
+    wl = get_workload(name)
+    return detect_segments(wl, wl.all_configs()[k], pdf, seed=seed)
+
+
+def _by_key(det):
+    return det.sort_values(["segment_id", "object_id"]).reset_index(drop=True)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +114,93 @@ class TestCvOps:
         det = detect_segments(covid, covid.best_config(), seg_pdf, seed=0)
         assert det.confidence.between(0, 1).all()
         assert set(det.klass) <= {"car", "person", "bus"}
+
+    def test_half_day_statistics(self, covid):
+        """Over half a day of COVID, the counter-hash detector keeps the
+        binomial detector's statistics: the count is within 1% of
+        sum(n_present * acc) (about 4 standard deviations), the class
+        and EV shares are within 0.01 (about 5) of their targets."""
+        pdf = trace_to_pandas(covid, covid.content(seed=0, n_days=0.5,
+                                                   start_day=16.0))
+        cfg = covid.all_configs()[len(covid.all_configs()) // 2]
+        det = detect_segments(covid, cfg, pdf, seed=0)
+        diff, mult = pdf[list(covid.dims)].to_numpy(), pdf["mult"].to_numpy()
+        acc = covid.observed_quality(
+            [cfg], diff, pdf["segment_id"].to_numpy(), seed=0, mult=mult
+        )[0] / covid.mass(diff, mult)
+        mean = (objects_present(covid, diff, mult) * acc.clip(0, 1)).sum()
+        assert abs(len(det) - mean) <= 0.01 * mean
+        share = det["klass"].value_counts(normalize=True)
+        for klass, p in (("car", 0.6), ("person", 0.3), ("bus", 0.1)):
+            assert abs(share[klass] - p) <= 0.01
+        assert abs(det.loc[det.klass == "car", "is_ev"].mean() - 0.12) <= 0.01
+        assert not det.loc[det.klass != "car", "is_ev"].any()
+        assert det.confidence.between(0.01, 1.0).all()
+
+    def test_counter_range_checked(self, covid, seg_pdf):
+        with pytest.raises(ValueError, match="counter range"):
+            detect_segments(covid, covid.best_config(),
+                            seg_pdf.assign(segment_id=1 << 40), seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=detector_batches(), data=st.data())
+    def test_split_and_permutation_invariant(self, row_pools, batch, data):
+        """Consecutive parts of a batch, or its rows in any order, give
+        the whole batch's detections."""
+        name, k, seed, rows = batch
+        pdf = row_pools[name].iloc[rows]
+        whole = _detect(name, k, seed, pdf)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)),
+                                         max_size=4)))
+        bounds = [0, *cuts, len(rows)]
+        parts = pd.concat(
+            [_detect(name, k, seed, pdf.iloc[a:b])
+             for a, b in zip(bounds[:-1], bounds[1:])],
+            ignore_index=True,
+        )
+        pd.testing.assert_frame_equal(parts, whole)
+        perm = data.draw(st.permutations(range(len(rows))))
+        pd.testing.assert_frame_equal(
+            _by_key(_detect(name, k, seed, pdf.iloc[perm])), _by_key(whole)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=detector_batches())
+    def test_object_ids_run_per_segment(self, row_pools, batch):
+        name, k, seed, rows = batch
+        pdf = row_pools[name].iloc[rows]
+        det = _detect(name, k, seed, pdf)
+        wl = get_workload(name)
+        n_obj = dict(zip(pdf["segment_id"], objects_present(
+            wl, pdf[list(wl.dims)].to_numpy(), pdf["mult"].to_numpy())))
+        for sid, ids in det.groupby("segment_id")["object_id"]:
+            np.testing.assert_array_equal(ids.to_numpy(), np.arange(len(ids)))
+            assert len(ids) <= n_obj[sid]
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=detector_batches(), data=st.data())
+    def test_pure_function_of_seed_segment_config(self, row_pools, batch,
+                                                  data):
+        """A segment's detections are the same in any batch, next to
+        segments run at any other configuration."""
+        name, k, seed, rows = batch
+        pool = row_pools[name]
+        row = data.draw(st.sampled_from(rows))
+        sid = pool["segment_id"].iloc[row]
+        alone = _detect(name, k, seed, pool.iloc[[row]])
+        whole = _detect(name, k, seed, pool.iloc[rows])
+        pd.testing.assert_frame_equal(
+            whole[whole.segment_id == sid].reset_index(drop=True), alone
+        )
+        others = [r for r in rows if r != row]
+        k2 = data.draw(st.integers(0, len(get_workload(name).all_configs()) - 1))
+        mixed = pd.concat(
+            [_detect(name, k2, seed, pool.iloc[others]), alone],
+            ignore_index=True,
+        )
+        pd.testing.assert_frame_equal(
+            mixed[mixed.segment_id == sid].reset_index(drop=True), alone
+        )
 
     def test_objects_present_positive(self, covid, seg_pdf):
         n = objects_present(
@@ -119,6 +252,43 @@ class TestTransform:
             expected.sort_values(key).reset_index(drop=True),
             check_dtype=False,
         )
+
+
+    def test_one_transform_task_per_slot(self, spark, covid):
+        """On an 8-range Extract, the Transform runs defaultParallelism
+        tasks, behind the one Exchange between the Extract's and the
+        Transform's Python operators, and its rows do not depend on the
+        input partitioning."""
+        from pyspark.sql import functions as F
+
+        configs = [covid.cheapest_config(), covid.best_config()]
+
+        def transform(n_partitions):
+            seg = segments_df(spark, covid, seed=0, n_days=0.02,
+                              n_partitions=n_partitions).withColumn(
+                "config_id", (F.col("segment_id") % 2).cast("int"))
+            return transform_segments_switched(seg, covid, configs, seed=0)
+
+        det = transform(8)
+        assert det.rdd.getNumPartitions() == spark.sparkContext.defaultParallelism
+        got = det.toPandas()
+        plan = det._jdf.queryExecution().executedPlan().toString()
+        plan = plan.split("== Initial Plan ==")[0].splitlines()
+        python = [i for i, line in enumerate(plan) if "MapInPandas" in line]
+        exchange = [i for i, line in enumerate(plan) if "Exchange" in line]
+        assert len(python) == 2 and len(exchange) == 1
+        assert python[0] < exchange[0] < python[1]
+        pdf = trace_to_pandas(covid, covid.content(seed=0, n_days=0.02))
+        want = pd.concat(
+            [detect_segments(covid, configs[k],
+                             pdf[pdf.segment_id % 2 == k], seed=0)
+             for k in (0, 1)],
+            ignore_index=True,
+        )
+        for other in (transform(1).toPandas(), want):
+            pd.testing.assert_frame_equal(
+                _by_key(got), _by_key(other), check_dtype=False
+            )
 
 
 class TestLoadQueries:

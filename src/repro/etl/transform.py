@@ -13,9 +13,7 @@ is hash-partitioned on ``segment_id`` to ``defaultParallelism``
 partitions.  A Python operator costs a worker round trip per task
 (about 140 ms of slot time on ``local[4]``, whatever it computes), and
 the vectorized UDFs take a small share of that, so the task count, not
-the kernel, bounds the stage.  The Exchange, unlike ``coalesce``, also
-keeps the Transform's worker apart from the Extract's: chained Python
-operators would keep two workers per task alive.
+the kernel, bounds the stage.  The Exchange only sets that task count.
 """
 from __future__ import annotations
 

@@ -112,12 +112,21 @@ def run_table6(
 
 
 def check_table5(df: pd.DataFrame) -> list[str]:
-    """Every MAE is well below the uniform prediction's (under 0.25)."""
-    return [
+    """Every MAE is well below the uniform prediction's (under 0.25), and
+    on each workload it grows with the horizon from 1 to 4 days."""
+    failures = [
         f"{r.workload} {r.horizon_days:g}-day horizon: MAE {r.mae}, "
         "not under 0.25"
         for r in df.itertuples() if not pd.isna(r.mae) and not r.mae < 0.25
     ]
+    grow = df[df.horizon_days.between(1.0, 4.0) & df.mae.notna()]
+    for name, g in grow.sort_values("horizon_days").groupby("workload"):
+        for a, b in zip(g.itertuples(), g.iloc[1:].itertuples()):
+            if not b.mae > a.mae:
+                failures.append(
+                    f"{name}: MAE {b.mae} at {b.horizon_days:g} days, not "
+                    f"above {a.mae} at {a.horizon_days:g} days")
+    return failures
 
 
 def check_table6(df: pd.DataFrame) -> list[str]:

@@ -71,6 +71,17 @@ def _detect(name, k, seed, pdf):
     return detect_segments(wl, wl.all_configs()[k], pdf, seed=seed)
 
 
+# executed-plan operators that run a Python worker
+PYTHON_OPERATORS = ("MapInPandas", "PythonMapInArrow", "ArrowEvalPython",
+                    "BatchEvalPython")
+
+
+def _executed_plan(df):
+    """The executed plan's lines, without AQE's initial plan."""
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    return plan.split("== Initial Plan ==")[0].splitlines()
+
+
 def _by_key(det):
     return det.sort_values(["segment_id", "object_id"]).reset_index(drop=True)
 
@@ -255,9 +266,9 @@ class TestTransform:
 
 
     def test_one_transform_task_per_slot(self, spark, covid):
-        """On an 8-range Extract, the Transform runs defaultParallelism
-        tasks, behind the one Exchange between the Extract's and the
-        Transform's Python operators, and its rows do not depend on the
+        """On an 8-partition Extract, the Transform runs
+        defaultParallelism tasks, its one Python operator behind a hash
+        Exchange on ``segment_id``, and its rows do not depend on the
         input partitioning."""
         from pyspark.sql import functions as F
 
@@ -272,12 +283,13 @@ class TestTransform:
         det = transform(8)
         assert det.rdd.getNumPartitions() == spark.sparkContext.defaultParallelism
         got = det.toPandas()
-        plan = det._jdf.queryExecution().executedPlan().toString()
-        plan = plan.split("== Initial Plan ==")[0].splitlines()
-        python = [i for i, line in enumerate(plan) if "MapInPandas" in line]
-        exchange = [i for i, line in enumerate(plan) if "Exchange" in line]
-        assert len(python) == 2 and len(exchange) == 1
-        assert python[0] < exchange[0] < python[1]
+        plan = _executed_plan(det)
+        python = [i for i, line in enumerate(plan)
+                  if any(op in line for op in PYTHON_OPERATORS)]
+        exchange = [i for i, line in enumerate(plan)
+                    if "Exchange hashpartitioning(segment_id" in line]
+        assert len(python) == 1 and len(exchange) == 1
+        assert python[0] < exchange[0]
         pdf = trace_to_pandas(covid, covid.content(seed=0, n_days=0.02))
         want = pd.concat(
             [detect_segments(covid, configs[k],
@@ -374,14 +386,20 @@ class TestExtract:
         )
 
     @pytest.mark.parametrize("n_partitions", [4, 8])
-    def test_one_equal_range_per_partition(self, spark, covid, n_partitions):
+    def test_balanced_partitions_without_python(self, spark, covid,
+                                                n_partitions):
+        """The window is one relation, round-robin repartitioned: the
+        partition sizes sum to the window and differ by at most one row
+        per input slice, and no Python operator runs."""
         df = segments_df(
             spark, covid, seed=0, n_days=0.5, n_partitions=n_partitions
         )
         sizes = df.rdd.glom().map(len).collect()
-        assert sizes == [21_600 // n_partitions] * n_partitions
-        plan = df._jdf.queryExecution().executedPlan().toString()
-        assert "Exchange" not in plan
+        assert len(sizes) == n_partitions and sum(sizes) == 21_600
+        assert max(sizes) - min(sizes) <= spark.sparkContext.defaultParallelism
+        plan = _executed_plan(df)
+        assert not [line for line in plan
+                    if any(op in line for op in PYTHON_OPERATORS)]
 
     def test_partitioning_does_not_change_rows(self, spark, covid):
         a = (
@@ -398,12 +416,26 @@ class TestExtract:
         )
         pd.testing.assert_frame_equal(a, b)
 
-    def test_write_stream_batches(self, spark, covid, tmp_path):
-        paths = write_stream_batches(
-            spark, covid, str(tmp_path / "in"), seed=0, n_days=0.005,
-            batch_segments=32,
-        )
-        assert len(paths) == int(np.ceil(0.005 * 86400 / 2.0 / 32))
-        pdf = pd.concat([pd.read_parquet(p) for p in paths])
-        tr = covid.content(seed=0, n_days=0.005)
-        assert len(pdf) == tr.n_segments
+    def test_write_stream_batches(self, spark, tmp_path):
+        """The streamed files, in order, hold the batch Extract's rows:
+        both Extracts share one row builder."""
+        for name in ("covid", "mosei-high"):
+            wl = get_workload(name)
+            paths = write_stream_batches(
+                spark, wl, str(tmp_path / name), seed=0, n_days=0.005,
+                start_day=10.0, batch_segments=32,
+            )
+            n = wl.content(seed=0, n_days=0.005, start_day=10.0).n_segments
+            assert len(paths) == -(-n // 32)
+            streamed = pd.concat([pd.read_parquet(p) for p in paths],
+                                 ignore_index=True)
+            batch = (
+                segments_df(spark, wl, seed=0, n_days=0.005, start_day=10.0)
+                .toPandas()
+                .sort_values("segment_id")
+                .reset_index(drop=True)
+            )
+            assert len(streamed) == n
+            pd.testing.assert_frame_equal(
+                streamed, batch, check_dtype=False, check_exact=True
+            )

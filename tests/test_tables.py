@@ -41,12 +41,19 @@ def t5(maes):
                          "horizon_days": [2.0, 8.0], "mae": maes})
 
 
+def t5_horizons(covid, mot):
+    return pd.DataFrame({"workload": ["covid"] * 4 + ["mot"] * 4,
+                         "horizon_days": [1.0, 2.0, 4.0, 8.0] * 2,
+                         "mae": covid + mot})
+
+
 def t6(eight):
     return pd.DataFrame({"input_days": [0.5, 1.0, 1.0],
                          "splits": [8, 1, 8], "mae": [0.03, 0.036, eight]})
 
 
-# name -> (a frame that passes, a frame that fails, a part of each failure)
+# case -> (a frame that passes, a frame that fails, a part of each
+# failure); a case is named after its table, with an optional "-" suffix
 CASES = {
     "table2": (t2(79.4, False), t2(63.3, True),
                ["overflowed", "63.3% <= Static's 63.3%"]),
@@ -55,9 +62,20 @@ CASES = {
                ["0.110 s of 0.220 s (50%)", "0.060 s of 0.220 s (27%)"]),
     "table4": (t4([100.0, 93.0, 91.9, 85.9, 78.3]),
                t4([99.0, 93.0, 80.0, 85.9, 99.5]),
-               ["99.0%", "80.0%", "99.5%, above |C|=1's 99.0%"]),
+               ["99.0%", "80.0%", "85.9%, above |C|=3's 80.0%",
+                "99.5%, above |C|=4's 85.9%"]),
+    "table4-rising": (t4([100.0, 93.0, 91.9, 85.9, 78.3]),
+                      t4([100.0, 93.0, 91.9, 92.5, 78.3]),
+                      ["|C|=4: accuracy 92.5%, above |C|=3's 91.9%"]),
     "table5": (t5([0.02, np.nan]), t5([0.02, 0.25]),
                ["mot 8-day horizon: MAE 0.25"]),
+    "table5-growth": (
+        t5_horizons([0.0189, 0.0204, 0.0246, 0.0248],
+                    [0.0311, 0.0355, 0.0436, 0.0433]),
+        t5_horizons([0.0189, 0.0204, 0.0204, 0.0248],
+                    [0.0311, 0.0436, 0.0355, 0.0433]),
+        ["covid: MAE 0.0204 at 4 days, not above 0.0204 at 2 days",
+         "mot: MAE 0.0355 at 4 days, not above 0.0436 at 2 days"]),
     "table6": (t6(0.0236), t6(0.0861),
                ["MAE 0.0861 with 8 splits, over 0.036"]),
 }
@@ -91,15 +109,19 @@ class TestMarkdown:
         assert verdicts(["a 1", "b 2"]).splitlines()[1:] == ["- a 1", "- b 2"]
 
 
+def _check(case):
+    return TABLES[case.split("-")[0]].check
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_check_passes_a_passing_frame(name):
-    assert TABLES[name].check(CASES[name][0]) == []
+    assert _check(name)(CASES[name][0]) == []
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_check_fails_a_failing_frame_with_its_numbers(name):
     _, failing, numbers = CASES[name]
-    failures = TABLES[name].check(failing)
+    failures = _check(name)(failing)
     assert len(failures) == len(numbers)
     for failure, number in zip(failures, numbers):
         assert number in failure
